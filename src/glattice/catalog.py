@@ -467,18 +467,24 @@ def _ideal_row_lattice(p: int, ideal, extra_factor=None) -> "GLattice":
 def _noncoboundary_cocycle(bottom: GLattice, top: GLattice):
     """A 1-cocycle G -> Hom(top, bottom) whose class is nonzero."""
     from .cohomology import one_cocycles
-    from .exactla import solve_left
+    from .exactla import hnf, solve_with_hnf
     from .groups import full_class
     from .lattices import hom_lattice
 
     hom = hom_lattice(top, bottom)
     space = one_cocycles(hom, full_class(bottom.group))
+    # a cocycle is fixed by its values on the generators: test only those
+    cols = [
+        space.elements.index(a) * space.rank + k
+        for a in space.generators
+        for k in range(space.rank)
+    ]
+    boundaries = hnf(
+        IntMatrix.from_rows([[v[c] for c in cols] for v in space.coboundaries], cols=len(cols))
+    )
     for row in space.cocycles.data:
-        if space.coboundaries and solve_left(
-            IntMatrix(list(space.coboundaries), cols=len(row)), row
-        ) is not None:
-            continue
-        return space, row
+        if solve_with_hnf(boundaries, [row[c] for c in cols]) is None:
+            return space, row
     raise LatticeError("every cocycle is a coboundary; extension would split")
 
 

@@ -12,7 +12,7 @@ import time
 
 from . import __version__
 from .exactla import det
-from .cohomology import cohomology_table, is_coflabby, is_flabby
+from .cohomology import cohomology_table, is_flabby
 from .catalog import (
     CATALOG_NAMES,
     LEE_NAMES,
@@ -78,12 +78,11 @@ def cmd_build(args) -> int:
 
 
 def _verify_range(args):
-    lo = args.n_min if args.n_min is not None else args.n
-    hi = args.n_max if args.n_max is not None else args.n
-    if lo is None:
-        lo, hi = 3, 31
-    if lo % 2 == 0 or hi % 2 == 0:
-        raise SystemExit(3)
+    """Odd n from --n-min (or --n) to --n-max (or --n); a missing end takes 3 or 31."""
+    lo = next(x for x in (args.n_min, args.n, 3) if x is not None)
+    hi = next(x for x in (args.n_max, args.n, 31) if x is not None)
+    if lo % 2 == 0 or hi % 2 == 0 or not 3 <= lo <= hi:
+        raise ValueError(f"verify range {lo}..{hi} needs odd bounds with 3 <= first <= last")
     return range(lo, hi + 1, 2)
 
 
@@ -130,23 +129,26 @@ def cmd_table(args) -> int:
     mismatches = 0
     for name in LEE_NAMES:
         lat = build(name, p)
-        flab = is_flabby(lat)
-        coflab = is_coflabby(lat) if args.h1 else None
-        coh = cohomology_table(lat, name) if args.h1 else None
+        if args.h1:  # one pass gives H^-1 and H^1 for every class
+            coh = cohomology_table(lat, name)
+            failing = [(lab, hm1) for lab, hm1, _, _ in coh.entries if not hm1.is_trivial]
+        else:
+            failing = is_flabby(lat).failing
         row = {
             "name": name,
             "rank": lat.rank,
-            "flabby": flab.ok,
-            "failing": [[lab, serialize.invariants_to_json(inv)] for lab, inv in flab.failing],
+            "flabby": not failing,
+            "failing": [[lab, serialize.invariants_to_json(inv)] for lab, inv in failing],
         }
-        if coflab is not None:
-            row["coflabby"] = coflab.ok
-        if coh is not None:
+        shown = f"{name:7s} rank {lat.rank:3d} flabby={not failing}"
+        if args.h1:
+            row["coflabby"] = all(h1v.is_trivial for *_, h1v in coh.entries)
             row["cohomology"] = serialize.table_to_json(coh)["classes"]
-        if flab.ok != (name in expected_flabby):
+            shown += f" coflabby={row['coflabby']}"
+        if (not failing) != (name in expected_flabby):
             mismatches += 1
         out_rows.append(row)
-        print(f"{name:7s} rank {lat.rank:3d} flabby={flab.ok}" + (f" coflabby={coflab.ok}" if coflab is not None else ""))
+        print(shown)
     if args.out:
         _emit({"p": p, "rows": out_rows, "tool_version": __version__}, args.out)
     return 0 if mismatches == 0 else 1

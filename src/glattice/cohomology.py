@@ -1,8 +1,16 @@
 """Tate cohomology of G-lattices over subgroups, Ext^1, flabbiness tests.
 
 H^-1 and H^0 come straight from norm kernels and fixed sublattices.  H^1
-uses 2-periodicity for cyclic subgroups and an explicit 1-cocycle linear
-system (all |S|^2 pair constraints) for dihedral ones.
+comes from a presentation of the subgroup S.  A 1-cocycle f is fixed by
+a = f(s) and b = f(t), and by Fox's free differential calculus (Fox, Ann. of
+Math. 57, 1953; Brown, Cohomology of Groups, GTM 87) each relator of
+<s, t | s^d, t^2, (ts)^2> gives one equation:
+
+    N_s a = 0,    (1 + t) b = 0,    (1 + ts)(b + t a) = 0,
+
+3 * rank equations in 2 * rank unknowns.  The coboundaries are
+((s - 1)m, (t - 1)m).  A cyclic S = <s | s^d> keeps only the first equation,
+so H^1 = ker N_s / im(s - 1).
 """
 
 from __future__ import annotations
@@ -14,10 +22,18 @@ from .exactla import (
     IntMatrix,
     cokernel_invariants,
     express_rows,
+    kernel_basis,
     right_kernel_basis,
 )
 from .groups import GroupElement, SubgroupClass, mul, subgroup_classes
-from .lattices import GLattice, LatticeError, fixed_sublattice, hom_lattice
+from .lattices import (
+    GLattice,
+    LatticeError,
+    fixed_sublattice,
+    hom_lattice,
+    presentation_generators,
+    restrict,
+)
 
 _ZERO = AbelianInvariants((), 0)
 
@@ -57,93 +73,55 @@ def tate_h0(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
     return _invariants_of_submodule(fixed, gens)
 
 
-def _is_cyclic_class(s: SubgroupClass) -> bool:
-    rotations = [a for a in s.representative if a.flip == 0]
-    return len(rotations) == len(s.representative) or s.order <= 2
+def _sparse(mat: IntMatrix) -> list:
+    """The nonzero (column, entry) pairs of each row."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in mat.data]
 
 
-def _cyclic_generator(s: SubgroupClass) -> GroupElement:
-    reflections = [a for a in s.representative if a.flip == 1]
-    if reflections and s.order == 2:
-        return reflections[0]
-    non_trivial = [a for a in s.representative if not a.is_identity]
-    if not non_trivial:
-        return GroupElement(0, 0)
-    return min(non_trivial, key=lambda a: a.rot)
+def _act(sparse_rows: list, v: list) -> list:
+    return [sum(x * v[j] for j, x in row) for row in sparse_rows]
 
 
-def h1_cyclic(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
-    """H^1 of a cyclic subgroup by 2-periodicity: ker N / im(rho(g) - 1)."""
-    if s.order == 1:
-        return _ZERO
-    gen = _cyclic_generator(s)
-    norm = m.norm_matrix(s)
-    kernel = right_kernel_basis(norm)
-    diff = m.rho(gen) - IntMatrix.identity(m.rank)
-    gens = list(diff.transpose().data)
-    return _invariants_of_submodule(kernel, gens)
+def _add(u: list, v: list) -> list:
+    return [x + y for x, y in zip(u, v)]
 
 
-class _SparseEchelon:
-    """Incremental integer row echelon over sparse rows (dict col -> value)."""
+def _fox_system(m: GLattice, s: SubgroupClass):
+    """Z^1 and the generators of B^1 in (f(s), f(t)) coordinates.
 
-    def __init__(self):
-        self.pivots: dict[int, dict] = {}
-
-    @staticmethod
-    def _combine(a: dict, ca: int, b: dict, cb: int) -> dict:
-        out = {}
-        for k, v in a.items():
-            out[k] = ca * v
-        for k, v in b.items():
-            w = out.get(k, 0) + cb * v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return {k: v for k, v in out.items() if v}
-
-    def insert(self, row: dict) -> None:
-        row = {k: v for k, v in row.items() if v}
-        while row:
-            j = min(row)
-            aj = row[j]
-            piv = self.pivots.get(j)
-            if piv is None:
-                if aj < 0:
-                    row = {k: -v for k, v in row.items()}
-                self.pivots[j] = row
-                return
-            pj = piv[j]
-            if aj % pj == 0:
-                row = self._combine(row, 1, piv, -(aj // pj))
-            else:
-                g, x, y = _extgcd(pj, aj)
-                new_piv = self._combine(piv, x, row, y)
-                row = self._combine(piv, -(aj // g), row, pj // g)
-                self.pivots[j] = new_piv
-
-    def matrix(self, cols: int) -> IntMatrix:
-        rows = [self.pivots[j] for j in sorted(self.pivots)]
-        dense = []
-        for r in rows:
-            line = [0] * cols
-            for k, v in r.items():
-                line[k] = v
-            dense.append(line)
-        return IntMatrix.from_rows(dense, cols=cols)
+    Row j of the equation matrix holds what unknown j contributes to each
+    Fox-derivative equation (N_s, 1 + t and (1 + ts)(b + ta)), so Z^1 is its
+    left kernel.
+    """
+    lat = restrict(m, s)
+    sig = _sparse(lat.sigma)
+    tau = None if lat.tau is None else _sparse(lat.tau)
+    r = m.rank
+    zero = [0] * r
+    rows_a, rows_b, boundaries = [], [], []
+    for j in range(r):
+        e = [0] * r
+        e[j] = 1
+        norm, v = zero, e
+        for _ in range(lat.group.n):
+            norm, v = _add(norm, v), _act(sig, v)
+        s_e = _act(sig, e)
+        s_minus_1 = [x - y for x, y in zip(s_e, e)]
+        if tau is None:
+            rows_a.append(norm)
+            boundaries.append(s_minus_1)
+            continue
+        t_e = _act(tau, e)
+        rows_a.append(norm + zero + _add(t_e, _act(tau, _act(sig, t_e))))
+        rows_b.append(zero + _add(e, t_e) + _add(e, _act(tau, s_e)))
+        boundaries.append(s_minus_1 + [x - y for x, y in zip(t_e, e)])
+    equations = IntMatrix.from_rows(rows_a + rows_b, cols=r if tau is None else 3 * r)
+    return kernel_basis(equations), boundaries
 
 
-def _extgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+def h1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
+    """H^1(S, M) = Z^1 / B^1 on the presentation of S."""
+    return _invariants_of_submodule(*_fox_system(m, s))
 
 
 @dataclass(frozen=True)
@@ -151,73 +129,47 @@ class CocycleSpace:
     """Z^1(S, M) with its coboundary generators, in f: S -> M coordinates."""
 
     elements: tuple  # subgroup elements in index order
+    generators: tuple  # elements whose values fix a cocycle
     rank: int  # rank of M
     cocycles: IntMatrix  # rows span Z^1 inside Z^(|S| * rank)
     coboundaries: tuple  # generator vectors of B^1
 
 
 def one_cocycles(m: GLattice, s: SubgroupClass) -> CocycleSpace:
-    """Solve the full pairwise system f(st) = f(s) + s.f(t)."""
-    els = list(s.representative)
+    """Z^1 and B^1 as functions on every element of S.
+
+    Each solution (a, b) = (f(s), f(t)) of `h1`'s system is extended by the
+    cocycle rule f(xy) = f(x) + x.f(y): f(s^k) = (1 + s + ... + s^(k-1)) a
+    and f(s^k t) = f(s^k) + s^k b.
+    """
+    cocycles, boundaries = _fox_system(m, s)
+    gen, refl = presentation_generators(s)
+    sig = _sparse(m.rho(gen))
+    els = s.representative
     index = {a: i for i, a in enumerate(els)}
     r = m.rank
-    n_vars = len(els) * r
-    ech = _SparseEchelon()
-    rhos = {a: m.rho(a) for a in els}
-    g = m.group
-    for a in els:
-        rho_a = rhos[a]
-        ia = index[a]
-        for b in els:
-            ib = index[b]
-            iab = index[mul(g, a, b)]
-            for k in range(r):
-                row: dict[int, int] = {}
+    rotations = s.order if refl is None else s.order // 2
 
-                def bump(col, val):
-                    if not val:
-                        return
-                    w = row.get(col, 0) + val
-                    if w:
-                        row[col] = w
-                    elif col in row:
-                        del row[col]
+    def extend(row) -> tuple:
+        a, b = list(row[:r]), list(row[r:])
+        out = [0] * (len(els) * r)
+        f, x = [0] * r, GroupElement(0, 0)
+        for _ in range(rotations):  # x = s^k, f = f(s^k), a = s^k.f(s), b = s^k.f(t)
+            out[index[x] * r : index[x] * r + r] = f
+            if refl is not None:
+                xt = index[mul(m.group, x, refl)] * r
+                out[xt : xt + r] = _add(f, b)
+                b = _act(sig, b)
+            f, a, x = _add(f, a), _act(sig, a), mul(m.group, x, gen)
+        return tuple(out)
 
-                bump(iab * r + k, 1)
-                bump(ia * r + k, -1)
-                for k2 in range(r):
-                    bump(ib * r + k2, -rho_a[k, k2])
-                ech.insert(row)
-    constraints = ech.matrix(n_vars)
-    cocycles = right_kernel_basis(constraints)
-    ident = IntMatrix.identity(r)
-    diffs = {a: rhos[a] - ident for a in els}
-    gens = []
-    for j in range(r):
-        vec = [0] * n_vars
-        for a in els:
-            d = diffs[a]
-            ia = index[a]
-            for k in range(r):
-                vec[ia * r + k] = d[k, j]
-        gens.append(tuple(vec))
     return CocycleSpace(
-        elements=tuple(els), rank=r, cocycles=cocycles, coboundaries=tuple(gens)
+        elements=els,
+        generators=(gen,) if refl is None else (gen, refl),
+        rank=r,
+        cocycles=IntMatrix.from_rows([extend(z) for z in cocycles.data], cols=len(els) * r),
+        coboundaries=tuple(extend(v) for v in boundaries),
     )
-
-
-def h1_generic(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
-    """H^1 via the full pairwise 1-cocycle system."""
-    space = one_cocycles(m, s)
-    return _invariants_of_submodule(space.cocycles, list(space.coboundaries))
-
-
-def h1(m: GLattice, s: SubgroupClass, method: str = "auto") -> AbelianInvariants:
-    if method == "generic":
-        return h1_generic(m, s)
-    if method == "cyclic" or _is_cyclic_class(s):
-        return h1_cyclic(m, s)
-    return h1_generic(m, s)
 
 
 def ext1(a: GLattice, b: GLattice) -> AbelianInvariants:
@@ -236,10 +188,6 @@ class FlabbinessReport:
 
     def __bool__(self):
         return self.ok
-
-    @property
-    def first_failure(self):
-        return self.failing[0] if self.failing else None
 
 
 def is_flabby(m: GLattice) -> FlabbinessReport:

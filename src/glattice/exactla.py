@@ -476,8 +476,10 @@ def cokernel_invariants(m: IntMatrix) -> AbelianInvariants:
     return AbelianInvariants(torsion=torsion, free_rank=m.cols - rank)
 
 
-def _solve_with_hnf(res: HNFResult, n_rows: int, n_cols: int, target) -> tuple | None:
+def solve_with_hnf(res: HNFResult, target) -> tuple | None:
+    """Solve x * basis = target over Z from the basis's `hnf`, or None."""
     h, u = res.h, res.u
+    n_rows, n_cols = h.rows, h.cols
     w = [0] * n_rows
     t = list(target)
     for i in range(n_rows):
@@ -501,7 +503,7 @@ def _solve_with_hnf(res: HNFResult, n_rows: int, n_cols: int, target) -> tuple |
 
 def solve_left(basis: IntMatrix, target: Sequence[int]) -> tuple | None:
     """Solve x * basis = target over Z, or None if unsolvable."""
-    return _solve_with_hnf(hnf(basis), basis.rows, basis.cols, target)
+    return solve_with_hnf(hnf(basis), target)
 
 
 def express_rows(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix | None:
@@ -512,7 +514,7 @@ def express_rows(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix | None:
     res = hnf(basis)
     out = []
     for row in vectors.data:
-        x = _solve_with_hnf(res, basis.rows, basis.cols, row)
+        x = solve_with_hnf(res, row)
         if x is None:
             return None
         out.append(list(x))

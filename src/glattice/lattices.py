@@ -94,12 +94,11 @@ class GLattice:
         return cache[k]
 
     def rho(self, a: GroupElement) -> IntMatrix:
-        m = self.sigma_power(a.rot)
-        if a.flip:
-            if self.tau is None:
-                raise LatticeError("cyclic lattice acted on by a reflection")
-            m = m * self.tau
-        return m
+        if not a.flip:
+            return self.sigma_power(a.rot)
+        if self.tau is None:
+            raise LatticeError("cyclic lattice acted on by a reflection")
+        return self.sigma_power(a.rot) * self.tau if a.rot else self.tau
 
     def norm_matrix(self, s: SubgroupClass) -> IntMatrix:
         total = IntMatrix.zero(self.rank, self.rank)
@@ -296,29 +295,32 @@ def dual(m: GLattice) -> GLattice:
     return GLattice(m.group, sig, m.tau.transpose(), validate=False)
 
 
-def _cyclic_generator(s: SubgroupClass) -> GroupElement:
-    for a in s.generators:
-        return a
-    return GroupElement(0, 0)
+def presentation_generators(s: SubgroupClass) -> tuple:
+    """Generators (s, t) of the subgroup with s^d = t^2 = (ts)^2 = 1.
+
+    s is the rotation of smallest angle and t the reflection of smallest
+    angle.  A cyclic subgroup gives (s, None), where s is its lone reflection
+    at order 2 and the identity at order 1.
+    """
+    rotations = [a for a in s.representative if a.flip == 0 and not a.is_identity]
+    reflections = [a for a in s.representative if a.flip == 1]
+    if not rotations:
+        return (reflections[0] if reflections else GroupElement(0, 0)), None
+    gen = min(rotations, key=lambda a: a.rot)
+    if not reflections:
+        return gen, None
+    return gen, min(reflections, key=lambda a: a.rot)
 
 
 def restrict(m: GLattice, s: SubgroupClass) -> GLattice:
-    """The same Z^rank viewed as a lattice over the subgroup."""
-    order = s.order
-    rotations = [a for a in s.representative if a.flip == 0]
-    reflections = [a for a in s.representative if a.flip == 1]
-    if not reflections:
-        if order == 1:
-            return GLattice(cyclic(1), IntMatrix.identity(m.rank), validate=False)
-        gen = min((a for a in rotations if not a.is_identity), key=lambda a: a.rot)
-        # smallest rotation generates the cyclic rotation subgroup
-        return GLattice(cyclic(order), m.rho(gen), validate=False)
-    if order == 2:
-        return GLattice(cyclic(2), m.rho(reflections[0]), validate=False)
-    d = len(rotations)
-    gen = min((a for a in rotations if not a.is_identity), key=lambda a: a.rot)
-    refl = min(reflections, key=lambda a: a.rot)
-    return GLattice(GroupSpec(DIHEDRAL, d), m.rho(gen), m.rho(refl), validate=False)
+    """The same Z^rank viewed as a lattice over the subgroup, on the
+    generators chosen by `presentation_generators`."""
+    gen, refl = presentation_generators(s)
+    if refl is None:
+        return GLattice(cyclic(s.order), m.rho(gen), validate=False)
+    return GLattice(
+        GroupSpec(DIHEDRAL, s.order // 2), m.rho(gen), m.rho(refl), validate=False
+    )
 
 
 def fixed_sublattice(m: GLattice, s: SubgroupClass) -> IntMatrix:

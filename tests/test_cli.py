@@ -40,8 +40,21 @@ def test_verify_pass_and_fail_codes(capsys):
     out = capsys.readouterr().out
     assert out.count("det=-1") == 3
     assert run(["verify", "--id", "L36", "--n-min", 3, "--n-max", 11]) == 0
-    with pytest.raises(SystemExit):
-        run(["verify", "--id", "T34", "--n", 4])
+    capsys.readouterr()
+    # a missing end takes the default sweep's end, 3 or 31
+    assert run(["verify", "--id", "T34", "--n-min", 29]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "T34 n=29", "T34 n=31"]
+    assert run(["verify", "--id", "T34", "--n-max", 5]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "T34 n=3", "T34 n=5"]
+    # an even, empty or too low range is a usage error with a message
+    for bad in (
+        ["--n", 4], ["--n-min", 4], ["--n-max", 6], ["--n-min", 7, "--n-max", 5], ["--n", 1]
+    ):
+        assert run(["verify", "--id", "L36"] + bad) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_table_command(tmp_path, capsys):

@@ -4,38 +4,44 @@ import random
 
 import pytest
 
-from glattice.exactla import AbelianInvariants, IntMatrix
+from glattice.exactla import AbelianInvariants, IntMatrix, row_space_hnf, solve_left
 from glattice.groups import (
     GroupElement,
     class_by_label,
     conjugate_subgroup,
+    cyclic,
     dihedral,
     elements,
     full_class,
+    mul,
     subgroup_classes,
     subgroup_from_elements,
     trivial_class,
 )
+from glattice.catalog import LEE_NAMES, _noncoboundary_cocycle, build
 from glattice.cohomology import (
     cohomology_table,
     ext1,
     h1,
-    h1_cyclic,
-    h1_generic,
     is_coflabby,
     is_flabby,
+    one_cocycles,
     tate_h0,
     tate_hminus1,
 )
 from glattice.lattices import (
+    LatticeError,
     direct_sum,
+    hom_lattice,
     induce,
     perm_lattice,
     quotient_lattice,
     regular_lattice,
+    restrict,
     sign_lattice,
     trivial_lattice,
 )
+from pairwise_h1 import pairwise_cocycles, pairwise_h1
 
 Z2 = AbelianInvariants((2,), 0)
 ZERO = AbelianInvariants((), 0)
@@ -104,7 +110,25 @@ def test_h1_tau_on_m_minus():
     assert h1(induce(g, -1), class_by_label(g, "D_1")) == Z2
 
 
+def _seeded_hom_pairs(count):
+    """Seeded (top, bottom) census pairs at p = 3 and 5 with Hom rank <= 36."""
+    rng = random.Random(17)
+    pairs = []
+    while len(pairs) < count:
+        p = rng.choice((3, 5))
+        top, bottom = (build(name, p) for name in rng.sample(LEE_NAMES, 2))
+        if top.rank * bottom.rank <= 36:
+            pairs.append((top, bottom))
+    return pairs
+
+
 def test_h1_cyclic_equals_generic():
+    """h1 on the subgroup presentation agrees with the pairwise oracle."""
+    cases = []  # (lattice, subgroup class) pairs, full classes included
+    for p in (3, 5, 7):
+        for name in LEE_NAMES:
+            lat = build(name, p)
+            cases += [(lat, s) for s in subgroup_classes(lat.group)]
     rng = random.Random(5)
     for p in (3, 5):
         g = dihedral(p)
@@ -117,19 +141,54 @@ def test_h1_cyclic_equals_generic():
         ]
         for _ in range(4):
             lat = direct_sum(*rng.sample(pieces, 2))
-            for s in subgroup_classes(g):
-                if s.order == 2 * p:
-                    continue
-                assert h1_cyclic(lat, s) == h1_generic(lat, s)
-    # the two paths must also agree over honestly cyclic groups
-    from glattice.groups import cyclic
-    from glattice.lattices import restrict
-
+            cases += [(lat, s) for s in subgroup_classes(g)]
+    for top, bottom in _seeded_hom_pairs(10):
+        hom = hom_lattice(top, bottom)
+        cases += [(hom, s) for s in subgroup_classes(hom.group)]
+    g = dihedral(9)
+    lat = direct_sum(induce(g, -1), sign_lattice(g))
+    conjugates = {
+        tuple(conjugate_subgroup(g, s, x)) for s in subgroup_classes(g) for x in elements(g)
+    }
+    cases += [(lat, subgroup_from_elements(g, members)) for members in sorted(conjugates)]
+    # honestly cyclic groups
     for p in (3, 5, 7):
         g = dihedral(p)
         lat = restrict(direct_sum(n_plus(p), trivial_lattice(g)), class_by_label(g, f"C_{p}"))
-        for s in subgroup_classes(cyclic(p)):
-            assert h1_cyclic(lat, s) == h1_generic(lat, s)
+        cases += [(lat, s) for s in subgroup_classes(cyclic(p))]
+    assert len(cases) == 214  # 120 census, 32 sums, 40 Hom, 16 subgroups of D_9, 6 cyclic
+    for lat, s in cases:
+        assert h1(lat, s) == pairwise_h1(lat, s), (lat, s.label)
+
+
+def test_one_cocycles_satisfy_the_cocycle_rule():
+    for p in (3, 5):
+        for top, bottom in (("Z", "P"), ("ZH", "P"), ("Zminus", "R"), ("R", "Zminus"), ("V", "Z")):
+            hom = hom_lattice(build(top, p), build(bottom, p))
+            r = hom.rank
+            for s in subgroup_classes(hom.group):
+                space = one_cocycles(hom, s)
+                oracle = pairwise_cocycles(hom, s)
+                assert space.elements == oracle.elements
+                assert space.coboundaries == oracle.coboundaries
+                assert row_space_hnf(space.cocycles) == row_space_hnf(oracle.cocycles)
+                index = {a: i for i, a in enumerate(space.elements)}
+                for row in space.cocycles.data:
+                    f = {a: row[index[a] * r : index[a] * r + r] for a in space.elements}
+                    for a in space.elements:
+                        for b in space.elements:
+                            moved = hom.rho(a).matvec(f[b])
+                            expected = tuple(x + y for x, y in zip(f[a], moved))
+                            assert f[mul(hom.group, a, b)] == expected, (top, bottom, s.label)
+
+
+def test_noncoboundary_cocycle_on_split_and_nonsplit_pairs():
+    g = dihedral(3)
+    with pytest.raises(LatticeError, match="every cocycle is a coboundary"):
+        _noncoboundary_cocycle(build("ZH", 3), trivial_lattice(g))
+    space, row = _noncoboundary_cocycle(build("P", 3), trivial_lattice(g))
+    assert row in space.cocycles.data
+    assert solve_left(IntMatrix(list(space.coboundaries)), row) is None
 
 
 def test_cohomology_is_conjugation_invariant():
