@@ -11,14 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import is_prime
-from .exactla import IntMatrix, det, is_unimodular
-from .groups import class_by_label, dihedral
+from .cohomology import one_cocycles
+from .cyclotomic import conj_matrix, elem_mul, eta_power_rows, is_prime, mult_matrix, reduce_poly
+from .exactla import (
+    IntMatrix,
+    block_diag,
+    det,
+    express_rows,
+    hnf,
+    is_unimodular,
+    row_space_hnf,
+    solve_with_hnf,
+)
+from .groups import GroupElement, class_by_label, dihedral, full_class
 from .lattices import (
     GLattice,
     LatticeError,
     LatticeMap,
     direct_sum,
+    hom_lattice,
     induce,
     perm_lattice,
     regular_lattice,
@@ -210,8 +221,12 @@ def _columns(vectors, rank) -> IntMatrix:
     )
 
 
-def _sigma_orbit(rhs: GLattice, vec, powers) -> list:
-    return [rhs.sigma_power(k % rhs.group.n).matvec(vec) for k in powers]
+def _sigma_orbit(rhs: GLattice, vec) -> list:
+    """sigma^k . vec for k = 0 .. n - 1."""
+    orbit = [tuple(vec)]
+    for _ in range(rhs.group.n - 1):
+        orbit.append(rhs.sigma.matvec(orbit[-1]))
+    return orbit
 
 
 def witness(witness_id: str, n: int) -> WitnessRecord:
@@ -240,7 +255,7 @@ def _witness_t34(n: int) -> WitnessRecord:
     x = [1, 1] + [0] + [1] * (n - 1)
     y = [half, half + 1] + [half] * n
     t = [1, 1] + [1] * n
-    orbit = _sigma_orbit(rhs, x, range(n))
+    orbit = _sigma_orbit(rhs, x)
     std = [orbit[k % n] for k in range(n)] + [y, t]
     printed = [orbit[k % n] for k in range(1, n + 1)] + [y, t]
     lhs = direct_sum(build("MplusTilde", n), trivial_lattice(g))
@@ -264,8 +279,8 @@ def _witness_t35(n: int) -> WitnessRecord:
     for j in range((n + 1) // 2, n):
         z[n + j] = 1
     z[2 * n] = 1
-    xo = _sigma_orbit(rhs, x, range(n))
-    zo = _sigma_orbit(rhs, z, range(n))
+    xo = _sigma_orbit(rhs, x)
+    zo = _sigma_orbit(rhs, z)
     std = xo + [y] + zo
     printed = [xo[k % n] for k in range(1, n + 1)] + [y] + zo
     lhs = direct_sum(
@@ -303,8 +318,8 @@ def _witness_t37(n: int) -> WitnessRecord:
     z[2 * n] = 1
     z[2 * n + 1] = -1
     y1 = [1] * n + [-half] * n + [1, -(n - 1)]
-    xo = _sigma_orbit(rhs, x, range(n))
-    zo = _sigma_orbit(rhs, z, range(n))
+    xo = _sigma_orbit(rhs, x)
+    zo = _sigma_orbit(rhs, z)
     start = (n - 3) // 2
     printed = (
         [xo[(start + k) % n] for k in range(n)]
@@ -326,8 +341,6 @@ def _witness_t37(n: int) -> WitnessRecord:
 
 def l46_kernel_lattice(n: int) -> GLattice:
     """ker(Z[G] -> Z[H]) on the basis u_1..u_{n-1}, v_1..v_{n-1}."""
-    from .exactla import block_diag
-
     g = dihedral(n)
     a = n_quotient_sigma(n)
     m = n - 1
@@ -431,14 +444,6 @@ TWISTABLE = ("R", "P", "V", "X", "Y0", "Y1", "Y2")
 
 def _ideal_row_lattice(p: int, ideal, extra_factor=None) -> "GLattice":
     """R.A (optionally times an element) with sigma = zeta, tau = conjugation."""
-    from .cyclotomic import (
-        conj_matrix,
-        elem_mul,
-        eta_power_rows,
-        mult_matrix,
-    )
-    from .exactla import express_rows, row_space_hnf
-
     emb = eta_power_rows(p)
     rows = []
     zeta_m = mult_matrix(p, [0, 1])
@@ -466,11 +471,6 @@ def _ideal_row_lattice(p: int, ideal, extra_factor=None) -> "GLattice":
 
 def _noncoboundary_cocycle(bottom: GLattice, top: GLattice):
     """A 1-cocycle G -> Hom(top, bottom) whose class is nonzero."""
-    from .cohomology import one_cocycles
-    from .exactla import hnf, solve_with_hnf
-    from .groups import full_class
-    from .lattices import hom_lattice
-
     hom = hom_lattice(top, bottom)
     space = one_cocycles(hom, full_class(bottom.group))
     # a cocycle is fixed by its values on the generators: test only those
@@ -490,8 +490,6 @@ def _noncoboundary_cocycle(bottom: GLattice, top: GLattice):
 
 def _nonsplit_extension(bottoms: list, top: GLattice) -> GLattice:
     """0 -> (+)bottoms -> E -> top -> 0, class nonzero in every component."""
-    from .groups import GroupElement
-
     g = top.group
     rt = top.rank
     pieces = []  # (bottom, phi_prime lookup)
@@ -546,8 +544,6 @@ def twisted_lattice(base: str, ideal) -> GLattice:
     if base == "R":
         return _ideal_row_lattice(p, ideal)
     if base == "P":
-        from .cyclotomic import reduce_poly
-
         one_minus_zeta = tuple(reduce_poly(p, [1, -1]))
         return _ideal_row_lattice(p, ideal, extra_factor=one_minus_zeta)
     g = dihedral(p)

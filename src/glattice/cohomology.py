@@ -50,13 +50,17 @@ def _invariants_of_submodule(kernel_rows: IntMatrix, generators: list) -> Abelia
 
 
 def tate_hminus1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
-    """ker(N_S) / I_S.M with N_S the subgroup norm."""
+    """ker(N_S) / I_S.M with N_S the subgroup norm.
+
+    I_S.M is spanned by (g - 1)M over the generators g of S alone, since
+    (gh - 1)m = (g - 1)(hm) + (h - 1)m.
+    """
     norm = m.norm_matrix(s)
     kernel = right_kernel_basis(norm)
     ident = IntMatrix.identity(m.rank)
     gens = []
-    for a in s.representative:
-        if a.is_identity:
+    for a in presentation_generators(s):
+        if a is None or a.is_identity:
             continue
         diff = m.rho(a) - ident
         gens.extend(diff.transpose().data)  # columns of (rho(a) - 1)

@@ -19,6 +19,8 @@ from .exactla import (
     row_space_hnf,
     solve_left,
 )
+from .groups import cyclic
+from .lattices import GLattice, LatticeError
 
 
 def is_prime(n: int) -> bool:
@@ -234,10 +236,6 @@ def _embed_real(p: int, coords) -> tuple:
     return tuple(out)
 
 
-def ideal_scale(a: IdealHNF, k: int) -> IdealHNF:
-    return ideal_from_rows(a.p, a.basis * k, a.real_subfield)
-
-
 @dataclass(frozen=True)
 class FractionalIdeal:
     num: IdealHNF
@@ -281,10 +279,6 @@ def ideal_div_to_integral(a: IdealHNF, b: IdealHNF) -> IdealHNF:
     """Integral representative of the class of A * B^{-1}."""
     inv = ideal_inverse(b)
     return ideal_mul(a, inv.num)
-
-
-def ideal_contains(a: IdealHNF, element) -> bool:
-    return solve_left(a.basis, element) is not None
 
 
 # --- factorization of the cyclotomic polynomial mod ell ----------------------
@@ -401,11 +395,13 @@ def factor_cyclotomic_mod(p: int, ell: int) -> list[list[int]]:
                 g = _poly_gcd(f, _poly_sub(b, [1], ell), ell)
             if g != [0] and 0 < len(g) - 1 < len(f) - 1:
                 q, rr = _poly_divmod(f, g, ell)
-                assert rr == [0]
+                if rr != [0]:
+                    raise LatticeError(f"split factor does not divide modulo {ell}")
                 factors.append(g)
                 factors.append(q)
                 break
-    assert len(result) == count
+    if len(result) != count:
+        raise LatticeError(f"found {len(result)} of {count} factors modulo {ell}")
     return sorted(result)
 
 
@@ -438,9 +434,6 @@ def prime_ideal_above(p: int, ell: int, factor: list[int]) -> IdealHNF:
 
 def ideal_cyclic_lattice(a: IdealHNF):
     """The ideal as a C_p-lattice: sigma acts by multiplication by zeta."""
-    from .groups import cyclic
-    from .lattices import GLattice
-
     if a.real_subfield:
         raise ValueError("need a full-ring ideal")
     p = a.p
@@ -448,18 +441,3 @@ def ideal_cyclic_lattice(a: IdealHNF):
     if action is None:
         raise ValueError("ideal basis not stable under zeta")
     return GLattice(cyclic(p), action.transpose())
-
-
-def ideal_dihedral_lattice(a: IdealHNF):
-    """A conjugation-stable ideal as a D_p-lattice (sigma = zeta, tau = conj)."""
-    from .groups import dihedral
-    from .lattices import GLattice
-
-    if a.real_subfield:
-        raise ValueError("need a full-ring ideal")
-    p = a.p
-    sig = express_rows(a.basis, a.basis * mult_matrix(p, [0, 1]))
-    conj = express_rows(a.basis, a.basis * conj_matrix(p))
-    if sig is None or conj is None:
-        raise ValueError("ideal basis not stable under the dihedral action")
-    return GLattice(dihedral(p), sig.transpose(), conj.transpose())

@@ -28,7 +28,9 @@ from .groups import (
     SubgroupClass,
     cyclic,
     elements,
+    full_class,
     mul,
+    trivial_class,
 )
 
 
@@ -83,7 +85,9 @@ class GLattice:
         if self.tau is not None:
             if self.tau * self.tau != ident:
                 raise RelationError("tau^2 != identity")
-            if self.tau * self.sigma * self.tau != self.sigma_power(n - 1):
+            # given tau^2 = 1, tau*sigma*tau = sigma^-1 says (tau*sigma)^2 = 1
+            ts = self.tau * self.sigma
+            if ts * ts != ident:
                 raise RelationError("tau*sigma*tau != sigma^-1")
 
     def sigma_power(self, k: int) -> IntMatrix:
@@ -101,16 +105,16 @@ class GLattice:
         return self.sigma_power(a.rot) * self.tau if a.rot else self.tau
 
     def norm_matrix(self, s: SubgroupClass) -> IntMatrix:
-        total = IntMatrix.zero(self.rank, self.rank)
+        """N_S = R + R'.tau, with R the sum of sigma^k over the rotations of S
+        and R' over its reflections sigma^k.tau: one product."""
+        rotations, reflections = [], []
         for a in s.representative:
-            total = total + self.rho(a)
-        return total
+            (reflections if a.flip else rotations).append(self.sigma_power(a.rot))
+        total = _matrix_sum(rotations)
+        return total + _matrix_sum(reflections) * self.tau if reflections else total
 
     def full_norm_matrix(self) -> IntMatrix:
-        total = IntMatrix.zero(self.rank, self.rank)
-        for a in elements(self.group):
-            total = total + self.rho(a)
-        return total
+        return self.norm_matrix(full_class(self.group))
 
     def key(self):
         return (self.group, self.rank, self.sigma, self.tau)
@@ -138,6 +142,11 @@ class GLattice:
                 if sum(m[i, j] for i in range(m.rows)) != 1:
                     return False
         return True
+
+
+def _matrix_sum(mats: list[IntMatrix]) -> IntMatrix:
+    rows = zip(*(m.data for m in mats))
+    return IntMatrix([[sum(col) for col in zip(*r)] for r in rows], cols=mats[0].cols)
 
 
 @dataclass(frozen=True)
@@ -248,8 +257,6 @@ def perm_lattice(g: GroupSpec, s: SubgroupClass) -> GLattice:
 
 
 def regular_lattice(g: GroupSpec) -> GLattice:
-    from .groups import trivial_class
-
     return perm_lattice(g, trivial_class(g))
 
 
@@ -337,8 +344,6 @@ def fixed_sublattice(m: GLattice, s: SubgroupClass) -> IntMatrix:
 
 
 def full_fixed_sublattice(m: GLattice) -> IntMatrix:
-    from .groups import full_class
-
     return fixed_sublattice(m, full_class(m.group))
 
 

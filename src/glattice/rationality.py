@@ -11,32 +11,37 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import mul
 
 from .exactla import (
     IntMatrix,
     block_diag,
     det,
     express_rows,
+    inverse_unimodular,
     right_kernel_basis,
     row_space_hnf,
     snf,
 )
-from .groups import SubgroupClass, class_by_label, subgroup_classes
+from .groups import SubgroupClass, class_by_label, conjugate, elements, subgroup_classes
 from .lattices import (
     ExtensionSpec,
     GLattice,
     LatticeError,
     LatticeMap,
+    cosets,
     direct_sum,
     dual,
     fixed_sublattice,
     perm_lattice,
     quotient_with_maps,
     trivial_lattice,
+    zero_lattice,
 )
 from .cohomology import h1, is_flabby, tate_h0, tate_hminus1
 from .catalog import build, is_prime, witness
+from .cyclotomic import ideal_cyclic_lattice
 from .steinitz import ClassTable, default_class_table, steinitz_class
 
 
@@ -46,7 +51,7 @@ class Budget:
     draws: int = 100_000
     padding_rank_factor: int = 4
     seed: int = 0
-    h1_limit: int = 6000  # skip h1 fingerprint entries above |S|^2 * rank
+    h1_limit: int = 6000  # skip h1 fingerprint entries when 3 * rank exceeds it
     sp_attempts: int = 200  # iso attempts inside the padding enumeration
     classify_rank_cap: int = 6  # explicit search cap on rank(E) inside classify
 
@@ -54,8 +59,6 @@ class Budget:
         return self.padding_rank_factor * max(rank, 1)
 
     def without_h1(self) -> "Budget":
-        from dataclasses import replace
-
         return replace(self, h1_limit=0)
 
 
@@ -101,7 +104,8 @@ def fingerprint(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> Fingerprint:
         hm1 = tate_hminus1(m, cls)
         h0 = tate_h0(m, cls)
         h1v = None
-        if cls.order**2 * max(m.rank, 1) <= budget.h1_limit:
+        # h1's Fox system has 3 * rank equations whatever the order of S
+        if 3 * max(m.rank, 1) <= budget.h1_limit:
             h1v = h1(m, cls)
         entries.append((cls.label, fixed, hm1, h0, h1v))
     fp = Fingerprint(rank=m.rank, entries=tuple(entries))
@@ -188,6 +192,7 @@ def iso(
             "iso", LatticeMap(a, b, IntMatrix([], cols=0))
         )
     d = len(basis)
+    candidate = _candidate_maker(basis)
     # box enumeration, smallest coefficients first, capped by the draw budget
     radius = budget.box_radius
     cap = max(budget.draws, 1)
@@ -203,8 +208,8 @@ def iso(
             tried += 1
             if tried > cap:
                 return IsoResult("unknown", detail=f"box cap {cap} hit, dim {d}")
-            cand = _combine(basis, c)
-            if _verify_iso(a, b, cand):
+            cand = candidate(c)
+            if cand is not None and _verify_iso(a, b, cand):
                 return IsoResult("iso", LatticeMap(a, b, cand))
         return IsoResult("unknown", detail=f"box {radius} exhausted, dim {d}")
     rng = random.Random(budget.seed)
@@ -212,22 +217,54 @@ def iso(
         c = [rng.randint(-radius, radius) for _ in range(d)]
         if not any(c):
             continue
-        cand = _combine(basis, c)
-        if _verify_iso(a, b, cand):
+        cand = candidate(c)
+        if cand is not None and _verify_iso(a, b, cand):
             return IsoResult("iso", LatticeMap(a, b, cand))
     return IsoResult("unknown", detail=f"{budget.draws} draws exhausted, dim {d}")
 
 
-def _combine(basis: list[IntMatrix], coeffs) -> IntMatrix:
-    out = [[0] * basis[0].cols for _ in range(basis[0].rows)]
-    for c, mat in zip(coeffs, basis):
-        if c:
-            for i, row in enumerate(mat.data):
-                orow = out[i]
-                for j, x in enumerate(row):
-                    if x:
-                        orow[j] += c * x
-    return IntMatrix(out, cols=basis[0].cols)
+def _candidate_maker(basis: list[IntMatrix]):
+    """Coefficients -> the Hom-basis combination, or None when it cannot be
+    unimodular.
+
+    A unimodular matrix has odd det, so its reduction mod 2 has full rank.
+    Each basis matrix mod 2 is packed row-major into one int, so the
+    reduction of a combination is the XOR of its odd-coefficient members.
+    Only the combinations that pass are formed over the integers.
+    """
+    rows, cols = basis[0].rows, basis[0].cols
+    flat = [tuple(itertools.chain.from_iterable(mat.data)) for mat in basis]
+    packed = [sum(1 << k for k, x in enumerate(f) if x & 1) for f in flat]
+    entries = list(zip(*flat))
+
+    def make(coeffs) -> IntMatrix | None:
+        bits = 0
+        for c, mask in zip(coeffs, packed):
+            if c & 1:
+                bits ^= mask
+        if not _full_rank_mod2(bits, rows, cols):
+            return None
+        values = [sum(map(mul, coeffs, e)) for e in entries]
+        return IntMatrix([values[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+
+    return make
+
+
+def _full_rank_mod2(bits: int, rows: int, cols: int) -> bool:
+    """Whether the rows x cols GF(2) matrix packed row-major into bits has rank rows."""
+    width = (1 << cols) - 1
+    pivots: dict[int, int] = {}  # leading bit -> reduced row
+    for i in range(rows):
+        v = (bits >> (i * cols)) & width
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+        else:
+            return False
+    return True
 
 
 # --- permutation-lattice structure -------------------------------------------
@@ -237,10 +274,8 @@ def permutation_decomposition(m: GLattice) -> list[str] | None:
     """Coset types of the basis orbits when m is literally permutation."""
     if not m.is_permutation:
         return None
-    from .groups import conjugate, elements as group_elements
-
     g = m.group
-    els = group_elements(g)
+    els = elements(g)
     classes = subgroup_classes(g)
     orbits = []
     seen = set()
@@ -304,25 +339,11 @@ def _minimal_cover_generators(mdual: GLattice, cls: SubgroupClass, image_rows):
             raise LatticeError("fixed image escaped the fixed sublattice")
         res = snf(coords)
         diag = res.diagonal() + [0] * (fixed.rows - min(coords.rows, fixed.rows))
-        vinv_rows = None
         needed = [i for i in range(fixed.rows) if i >= len(diag) or diag[i] != 1]
         if not needed:
             return []
-        from .exactla import inverse_unimodular
-
         vinv = inverse_unimodular(res.v)
-        out = []
-        for i in needed:
-            w = vinv.data[i] if i < vinv.rows else None
-            if w is None:
-                continue
-            vec = [0] * mdual.rank
-            for c, row in zip(w, fixed.data):
-                if c:
-                    for k in range(mdual.rank):
-                        vec[k] += c * row[k]
-            out.append(tuple(vec))
-        return out
+        return [fixed.vecmat(vinv.data[i]) for i in needed]
     return [tuple(row) for row in fixed.data]
 
 
@@ -383,18 +404,12 @@ def flabby_resolution(m: GLattice, check: bool = True) -> FlabbyResolution:
             cover_parts.append(part)
             summands.append((cls.label, vec))
             # the coset basis of Z[G/S] maps to rho(x_i) . vec
-            from .lattices import cosets
-
             for coset in cosets(g, cls):
                 rep = coset[0]
                 phi_cols.append(list(mdual.rho(rep).matvec(vec)))
     if not cover_parts:
         # zero lattice: resolve trivially by an empty cover
-        from .lattices import zero_lattice
-
-        q = zero_lattice(g)
-        phi = IntMatrix.zero(0, 0) if m.rank == 0 else None
-        if phi is None:
+        if m.rank:
             raise LatticeError("non-zero lattice produced an empty cover")
         ident_ext = ExtensionSpec(
             sub=m,
@@ -491,9 +506,10 @@ def _perm_multisets(g, max_rank: int):
 def _witness_seeds(m: GLattice):
     """Catalog identities that pad m to a permutation lattice, if m matches."""
     g = m.group
-    if not g.is_dihedral or g.n % 2 == 0 or g.n < 3:
-        return []
     n = g.n
+    # n + 1 is the rank of both MplusTilde and MminusTilde
+    if not g.is_dihedral or n % 2 == 0 or n < 3 or m.rank != n + 1:
+        return []
     seeds = []
     if m == build("MplusTilde", n):
         w = witness("T34", n)
@@ -534,9 +550,7 @@ def stably_permutation(
             if res:
                 target_labels = permutation_decomposition(wit.rhs) or ()
                 w = StablyPermutationWitness(
-                    padding=direct_sum(
-                        *(perm_lattice(g, class_by_label(g, lab)) for lab in pad_labels)
-                    ),
+                    padding=perm_from_decomposition(g, pad_labels),
                     target=wit.rhs,
                     iso_map=res.witness,
                     padding_labels=pad_labels,
@@ -572,11 +586,7 @@ def stably_permutation(
             res = iso(padded, target, budget)
             if res:
                 w = StablyPermutationWitness(
-                    padding=direct_sum(
-                        *(perm_lattice(g, class_by_label(g, lab)) for lab in pad_labels)
-                    )
-                    if pad_labels
-                    else trivial_lattice(g, 0),
+                    padding=perm_from_decomposition(g, pad_labels),
                     target=target,
                     iso_map=res.witness,
                     padding_labels=tuple(pad_labels),
@@ -648,8 +658,6 @@ def classify(
 
 def _stably_permutation_evidence(m: GLattice, spw: StablyPermutationWitness):
     """0 -> M -> P2 -> P1 -> 0 straight from an M + P1 = P2 witness."""
-    from .exactla import inverse_unimodular
-
     w = spw.iso_map.matrix
     inc = w.submatrix(range(w.rows), range(m.rank))
     winv = inverse_unimodular(w)
@@ -678,8 +686,6 @@ def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget) -> Verdic
     # a flabby lattice that is itself stably permutation already gives the
     # two-permutation exact sequence, no resolution needed
     if is_flabby(m).ok and (m.rank <= budget.classify_rank_cap or _witness_seeds(m)):
-        from dataclasses import replace
-
         quick = replace(budget, sp_attempts=min(budget.sp_attempts, 10))
         spw = stably_permutation(m, quick)
         if spw:
@@ -748,8 +754,6 @@ def _classify_cyclic(
     if m.rank <= budget.classify_rank_cap:
         res = flabby_resolution(m)
         e = res.flabby_part
-        from dataclasses import replace
-
         quick = replace(budget, sp_attempts=min(budget.sp_attempts, 10))
         spw = stably_permutation(e, quick)
         if spw:
@@ -767,8 +771,6 @@ def _classify_cyclic(
             )
     asserted = annotations.get("non_principal_ideal")
     if asserted is not None:
-        from .cyclotomic import ideal_cyclic_lattice
-
         ideal = asserted
         candidate = ideal_cyclic_lattice(ideal)
         if candidate == m:

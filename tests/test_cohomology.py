@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from glattice.exactla import AbelianInvariants, IntMatrix, row_space_hnf, solve_left
+from glattice.exactla import (
+    AbelianInvariants,
+    IntMatrix,
+    right_kernel_basis,
+    row_space_hnf,
+    solve_left,
+)
 from glattice.groups import (
     GroupElement,
     class_by_label,
@@ -20,6 +26,7 @@ from glattice.groups import (
 )
 from glattice.catalog import LEE_NAMES, _noncoboundary_cocycle, build
 from glattice.cohomology import (
+    _invariants_of_submodule,
     cohomology_table,
     ext1,
     h1,
@@ -159,6 +166,41 @@ def test_h1_cyclic_equals_generic():
     assert len(cases) == 214  # 120 census, 32 sums, 40 Hom, 16 subgroups of D_9, 6 cyclic
     for lat, s in cases:
         assert h1(lat, s) == pairwise_h1(lat, s), (lat, s.label)
+
+
+def _hminus1_all_elements(m, s):
+    """ker(N_S) / I_S.M with N_S and I_S.M summed over every element of S."""
+    ident = IntMatrix.identity(m.rank)
+    norm = IntMatrix.zero(m.rank, m.rank)
+    gens = [(0,) * m.rank]
+    for a in s.representative:
+        norm = norm + m.rho(a)
+        gens += (m.rho(a) - ident).transpose().data
+    return _invariants_of_submodule(right_kernel_basis(norm), gens)
+
+
+def test_hminus1_on_generators_equals_all_elements():
+    cases = []
+    for p in (3, 5, 7):
+        for name in LEE_NAMES:
+            lat = build(name, p)
+            cases += [(lat, s) for s in subgroup_classes(lat.group)]
+    g = dihedral(9)
+    lat = direct_sum(induce(g, -1), sign_lattice(g), n_plus(9))
+    subgroups = {
+        tuple(conjugate_subgroup(g, s, x)) for s in subgroup_classes(g) for x in elements(g)
+    }
+    cases += [(lat, subgroup_from_elements(g, members)) for members in sorted(subgroups)]
+    for top, bottom in _seeded_hom_pairs(10):
+        hom = hom_lattice(top, bottom)
+        cases += [(hom, s) for s in subgroup_classes(hom.group)]
+    assert len(cases) == 176  # 120 census, 16 subgroups of D_9, 40 Hom
+    nontrivial = 0
+    for lat, s in cases:
+        got = tate_hminus1(lat, s)
+        assert got == _hminus1_all_elements(lat, s), (lat, s.label)
+        nontrivial += not got.is_trivial
+    assert nontrivial >= 30
 
 
 def test_one_cocycles_satisfy_the_cocycle_rule():

@@ -3,13 +3,16 @@
 import pytest
 
 from glattice.exactla import IntMatrix, is_saturated, snf
+from glattice.catalog import LEE_NAMES, build
 from glattice.groups import (
     GroupElement,
     class_by_label,
+    conjugate_subgroup,
     dihedral,
     elements,
     full_class,
     subgroup_classes,
+    subgroup_from_elements,
     trivial_class,
 )
 from glattice.lattices import (
@@ -43,6 +46,12 @@ def test_relations_validated():
     bad = IntMatrix([[1, 1], [0, 1]])
     with pytest.raises(RelationError):
         GLattice(g, bad, IntMatrix.identity(2))
+    rotation = IntMatrix([[0, -1], [1, -1]])  # order 3
+    with pytest.raises(RelationError, match=r"tau\^2 != identity"):
+        GLattice(g, rotation, IntMatrix([[1, 1], [0, 1]]))
+    with pytest.raises(RelationError, match=r"tau\*sigma\*tau != sigma\^-1"):
+        GLattice(g, rotation, IntMatrix.identity(2))
+    GLattice(g, rotation, IntMatrix([[0, 1], [1, 0]]))
 
 
 @pytest.mark.parametrize("n", range(3, 16, 2))
@@ -182,6 +191,29 @@ def test_anisotropic_examples():
     norm = reg.full_norm_matrix()
     for row in ext.inclusion.matrix.transpose().data:
         assert all(x == 0 for x in norm.matvec(row))
+
+
+def test_factored_norm_equals_the_sum_over_the_subgroup():
+    cases = [build(name, p) for p in (3, 5, 7) for name in LEE_NAMES]
+    g = dihedral(9)
+    cases += [direct_sum(induce(g, -1), sign_lattice(g)), regular_lattice(g)]
+    cases.append(restrict(build("Nplus", 5), class_by_label(dihedral(5), "C_5")))
+    for lat in cases:
+        subgroups = {
+            tuple(conjugate_subgroup(lat.group, s, x))
+            for s in subgroup_classes(lat.group)
+            for x in elements(lat.group)
+        }
+        for members in sorted(subgroups):
+            s = subgroup_from_elements(lat.group, members)
+            total = IntMatrix.zero(lat.rank, lat.rank)
+            for a in members:
+                total = total + lat.rho(a)
+            assert lat.norm_matrix(s) == total, (lat, s.label)
+        total = IntMatrix.zero(lat.rank, lat.rank)
+        for a in elements(lat.group):
+            total = total + lat.rho(a)
+        assert lat.full_norm_matrix() == total
 
 
 def test_quotient_by_zero_sublattice():

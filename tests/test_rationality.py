@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glattice.exactla import IntMatrix
+from glattice.exactla import IntMatrix, det, inverse_unimodular
 from glattice.groups import class_by_label, cyclic, dihedral
 from glattice.lattices import (
+    GLattice,
     anisotropic_sublattice,
     direct_sum,
     perm_lattice,
@@ -19,15 +21,18 @@ from glattice.catalog import LEE_NAMES, build
 from glattice.cohomology import is_flabby
 from glattice.rationality import (
     Budget,
+    _candidate_maker,
     classify,
     decompose_anisotropic,
     extra_variable_count,
     fingerprint,
     flabby_resolution,
     iso,
+    perm_from_decomposition,
     permutation_decomposition,
     stably_permutation,
 )
+from iso_oracle import combine, iso_oracle
 
 FAST = Budget(box_radius=2, draws=2000, padding_rank_factor=2, sp_attempts=40)
 
@@ -43,6 +48,15 @@ def test_fingerprint_r_at_5():
     fp = fingerprint(build("R", 5))
     entry = {label: hm1 for label, _, hm1, _, _ in fp.entries}
     assert entry["C_5"].torsion == (5,)
+
+
+def test_fingerprint_h1_bound_follows_the_fox_system():
+    # rank 40 over C_13: the Fox system has 120 equations, within h1_limit
+    g = dihedral(13)
+    lat = restrict(direct_sum(build("Y2", 13), build("Y0", 13)), class_by_label(g, "C_13"))
+    assert lat.rank == 40
+    assert all(h1v is not None for *_, h1v in fingerprint(lat).entries)
+    assert all(h1v is None for *_, h1v in fingerprint(lat, Budget().without_h1()).entries)
 
 
 def test_census_pairwise_distinct():
@@ -297,3 +311,76 @@ def test_flabby_class_additivity_fingerprints():
             if found:
                 break
         assert found, (na, nb)
+
+
+
+def _unimodular(n, rng):
+    """A seeded product of elementary row operations."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-1, 1))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+def _iso_oracle_cases():
+    rng = random.Random(11)
+    cases = []  # (a, b, budget)
+    for p in (3, 5):
+        for name in LEE_NAMES:
+            m = build(name, p)
+            t = _unimodular(m.rank, rng)
+            tinv = inverse_unimodular(t)
+            moved = GLattice(m.group, t * m.sigma * tinv, t * m.tau * tinv)
+            cases.append((m, moved, Budget(box_radius=2, draws=500)))
+        for na, nb in zip(LEE_NAMES, LEE_NAMES[1:]):
+            cases.append((build(na, p), build(nb, p), FAST))
+    g = dihedral(3)
+    for _ in range(6):
+        na, nb = rng.sample(LEE_NAMES, 2)
+        a, b = build(na, 3), build(nb, 3)
+        cases.append((direct_sum(a, b), direct_sum(b, a), Budget(box_radius=2, draws=500)))
+    # a failed search of 3,000 draws: Z + Y0 + Z[G/D_1] against
+    # Z[G/D_3]^2 + Z[G], the first attempt of classify on Z + Y0 over D_3
+    padded = direct_sum(build("Z", 3), build("Y0", 3), perm_lattice(g, class_by_label(g, "D_1")))
+    target = perm_from_decomposition(g, ["D_3", "D_3", "1"])
+    cases.append((padded, target, Budget(box_radius=2, draws=3000)))
+    return cases
+
+
+def test_iso_matches_the_unscreened_oracle():
+    """The mod-2 screen drops only candidates _verify_iso would refuse."""
+    outcomes = []
+    for a, b, budget in _iso_oracle_cases():
+        got, want = iso(a, b, budget), iso_oracle(a, b, budget)
+        assert (got.outcome, got.detail) == (want.outcome, want.detail)
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness.matrix == want.witness.matrix
+        outcomes.append(got.outcome if got.outcome != "unknown" else got.detail)
+    assert outcomes.count("iso") >= 20
+    assert "3000 draws exhausted, dim 14" in outcomes
+
+
+@st.composite
+def _basis_and_coefficients(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    basis = [IntMatrix(draw(square)) for _ in range(k)]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    return basis, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_basis_and_coefficients())
+def test_mod2_screen_never_rejects_an_odd_det(case):
+    basis, coeffs = case
+    combo = combine(basis, coeffs)
+    cand = _candidate_maker(basis)(coeffs)
+    if det(combo) % 2:
+        assert cand == combo
+    else:
+        assert cand is None
