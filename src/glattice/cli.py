@@ -26,6 +26,7 @@ from .catalog import (
     witness,
 )
 from .rationality import (
+    DEFAULT_BUDGET,
     Budget,
     STATUS_EXIT,
     classify,
@@ -44,10 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget_args(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget-box", type=int, default=3)
-    sub.add_argument("--budget-draws", type=int, default=100000)
-    sub.add_argument("--budget-rank", type=int, default=4)
+    sub.add_argument("--seed", type=int, default=DEFAULT_BUDGET.seed)
+    sub.add_argument("--budget-box", type=int, default=DEFAULT_BUDGET.box_radius)
+    sub.add_argument("--budget-draws", type=int, default=DEFAULT_BUDGET.draws)
+    sub.add_argument("--budget-rank", type=int, default=DEFAULT_BUDGET.padding_rank_factor)
 
 
 def _budget_from(args) -> Budget:

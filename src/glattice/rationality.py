@@ -49,20 +49,14 @@ from .steinitz import ClassTable, default_class_table, steinitz_class
 class Budget:
     box_radius: int = 3
     draws: int = 100_000
-    padding_rank_factor: int = 4
+    padding_rank_factor: int = 4  # padding rank up to this times rank(M)
     seed: int = 0
-    h1_limit: int = 6000  # skip h1 fingerprint entries when 3 * rank exceeds it
     sp_attempts: int = 200  # iso attempts inside the padding enumeration
-    classify_rank_cap: int = 6  # explicit search cap on rank(E) inside classify
-
-    def padding_rank(self, rank: int) -> int:
-        return self.padding_rank_factor * max(rank, 1)
-
-    def without_h1(self) -> "Budget":
-        return replace(self, h1_limit=0)
 
 
 DEFAULT_BUDGET = Budget()
+CLASSIFY_RANK_CAP = 6  # explicit search cap on the rank searched inside classify
+QUICK_SP_ATTEMPTS = 10  # iso attempts of classify's quick searches
 
 
 # --- fingerprints -------------------------------------------------------------
@@ -93,8 +87,8 @@ class Fingerprint:
 _fingerprint_cache: dict = {}
 
 
-def fingerprint(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> Fingerprint:
-    key = (m.key(), budget.h1_limit)
+def fingerprint(m: GLattice, with_h1: bool = True) -> Fingerprint:
+    key = (m.key(), with_h1)
     cached = _fingerprint_cache.get(key)
     if cached is not None:
         return cached
@@ -103,10 +97,7 @@ def fingerprint(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> Fingerprint:
         fixed = fixed_sublattice(m, cls).rows
         hm1 = tate_hminus1(m, cls)
         h0 = tate_h0(m, cls)
-        h1v = None
-        # h1's Fox system has 3 * rank equations whatever the order of S
-        if 3 * max(m.rank, 1) <= budget.h1_limit:
-            h1v = h1(m, cls)
+        h1v = h1(m, cls) if with_h1 else None
         entries.append((cls.label, fixed, hm1, h0, h1v))
     fp = Fingerprint(rank=m.rank, entries=tuple(entries))
     _fingerprint_cache[key] = fp
@@ -183,7 +174,7 @@ def iso(
     if a == b:
         ident = IntMatrix.identity(a.rank)
         return IsoResult("iso", LatticeMap(a, b, ident))
-    diff = fingerprint(a, budget).differs_from(fingerprint(b, budget))
+    diff = fingerprint(a).differs_from(fingerprint(b))
     if diff is not None:
         return IsoResult("noniso", detail=diff)
     basis = hom_space_basis(a, b)
@@ -193,34 +184,24 @@ def iso(
         )
     d = len(basis)
     candidate = _candidate_maker(basis)
-    # box enumeration, smallest coefficients first, capped by the draw budget
     radius = budget.box_radius
     cap = max(budget.draws, 1)
     if (2 * radius + 1) ** d <= cap * 4:
-        coords = sorted(
+        # the box, smallest coefficients first, capped by the draw budget
+        box = sorted(
             itertools.product(range(-radius, radius + 1), repeat=d),
-            key=lambda c: sum(abs(x) for x in c),
+            key=lambda c: sum(map(abs, c)),
         )
-        tried = 0
-        for c in coords:
-            if not any(c):
-                continue
-            tried += 1
-            if tried > cap:
-                return IsoResult("unknown", detail=f"box cap {cap} hit, dim {d}")
-            cand = candidate(c)
-            if cand is not None and _verify_iso(a, b, cand):
-                return IsoResult("iso", LatticeMap(a, b, cand))
-        return IsoResult("unknown", detail=f"box {radius} exhausted, dim {d}")
-    rng = random.Random(budget.seed)
-    for _ in range(cap):
-        c = [rng.randint(-radius, radius) for _ in range(d)]
-        if not any(c):
-            continue
-        cand = candidate(c)
-        if cand is not None and _verify_iso(a, b, cand):
+        coords = box[1 : cap + 1]  # box[0] is the zero vector
+        failure = f"box cap {cap} hit" if len(box) - 1 > cap else f"box {radius} exhausted"
+    else:
+        rng = random.Random(budget.seed)
+        coords = ([rng.randint(-radius, radius) for _ in range(d)] for _ in range(cap))
+        failure = f"{budget.draws} draws exhausted"
+    for c in coords:
+        if any(c) and (cand := candidate(c)) is not None and _verify_iso(a, b, cand):
             return IsoResult("iso", LatticeMap(a, b, cand))
-    return IsoResult("unknown", detail=f"{budget.draws} draws exhausted, dim {d}")
+    return IsoResult("unknown", detail=f"{failure}, dim {d}")
 
 
 def _candidate_maker(basis: list[IntMatrix]):
@@ -424,17 +405,17 @@ def flabby_resolution(m: GLattice, check: bool = True) -> FlabbyResolution:
     # sanity: phi must be surjective (the trivial class covers everything)
     if not _surjective(phi):
         raise LatticeError("permutation cover is not surjective")
-    qdual = dual(q)  # equals q entrywise for permutation lattices
+    # Q is its own dual: a permutation matrix's inverse is its transpose
     inclusion = phi.transpose()
     sub_rows = row_space_hnf(phi)
-    quo = quotient_with_maps(qdual, sub_rows)
+    quo = quotient_with_maps(q, sub_rows)
     flabby_part = quo.lattice
     seq = ExtensionSpec(
         sub=m,
-        total=qdual,
+        total=q,
         quotient=flabby_part,
-        inclusion=LatticeMap(m, qdual, inclusion),
-        projection=LatticeMap(qdual, flabby_part, quo.projection),
+        inclusion=LatticeMap(m, q, inclusion),
+        projection=LatticeMap(q, flabby_part, quo.projection),
     )
     if check:
         seq.check()
@@ -443,7 +424,7 @@ def flabby_resolution(m: GLattice, check: bool = True) -> FlabbyResolution:
             raise LatticeError(f"flabby part failed the flabbiness test: {rep.failing}")
     return FlabbyResolution(
         lattice=m,
-        perm=qdual,
+        perm=q,
         flabby_part=flabby_part,
         seq=seq,
         summands=tuple(lab for lab, _ in summands),
@@ -528,55 +509,49 @@ def stably_permutation(
     if not rep.ok:
         raise LatticeError(f"stably-permutation question is posed for flabby lattices: {rep.failing}")
     g = m.group
+
+    def padded_by(labels) -> GLattice:
+        parts = (perm_lattice(g, class_by_label(g, lab)) for lab in labels)
+        return direct_sum(m, *parts) if labels else m
+
+    def found(res: IsoResult, pad_labels, target: GLattice, target_labels):
+        w = StablyPermutationWitness(
+            padding=perm_from_decomposition(g, pad_labels),
+            target=target,
+            iso_map=res.witness,
+            padding_labels=tuple(pad_labels),
+            target_labels=tuple(target_labels),
+        )
+        return StablyPermutationResult("witness", w)
+
     # literal permutation lattice: empty padding
     labels = permutation_decomposition(m)
     if labels is not None:
         target = perm_from_decomposition(g, labels)
         res = iso(m, target, budget)
         if res:
-            w = StablyPermutationWitness(
-                padding=trivial_lattice(g, 0),
-                target=target,
-                iso_map=res.witness,
-                padding_labels=(),
-                target_labels=tuple(labels),
-            )
-            return StablyPermutationResult("witness", w)
+            return found(res, (), target, labels)
     # catalog-seeded identities
     for pad_labels, wit in _witness_seeds(m):
-        padded = direct_sum(m, *(perm_lattice(g, class_by_label(g, lab)) for lab in pad_labels))
+        padded = padded_by(pad_labels)
         if padded == wit.lhs:
             res = iso(padded, wit.rhs, budget, seeds=(wit.intertwiner,))
             if res:
-                target_labels = permutation_decomposition(wit.rhs) or ()
-                w = StablyPermutationWitness(
-                    padding=perm_from_decomposition(g, pad_labels),
-                    target=wit.rhs,
-                    iso_map=res.witness,
-                    padding_labels=pad_labels,
-                    target_labels=tuple(target_labels),
-                )
-                return StablyPermutationResult("witness", w)
-    # generic bounded enumeration: a cheap fingerprint gate first, a capped
-    # number of real searches after
-    max_pad = budget.padding_rank(m.rank)
-    gate_budget = budget.without_h1()
+                return found(res, pad_labels, wit.rhs, permutation_decomposition(wit.rhs) or ())
+    # generic bounded enumeration: a cheap fingerprint gate (without H^1)
+    # first, a capped number of real searches after
     attempts = 0
-    for pad_labels, pad_rank in _perm_multisets(g, max_pad):
+    for pad_labels, pad_rank in _perm_multisets(g, budget.padding_rank_factor * max(m.rank, 1)):
         total_rank = m.rank + pad_rank
         if total_rank == 0:
             continue
-        padded = (
-            direct_sum(m, *(perm_lattice(g, class_by_label(g, lab)) for lab in pad_labels))
-            if pad_labels
-            else m
-        )
-        padded_fp = fingerprint(padded, gate_budget)
+        padded = padded_by(pad_labels)
+        padded_fp = fingerprint(padded, with_h1=False)
         for target_labels, t_rank in _perm_multisets(g, total_rank):
             if t_rank != total_rank:
                 continue
             target = perm_from_decomposition(g, list(target_labels))
-            if padded_fp.differs_from(fingerprint(target, gate_budget)):
+            if padded_fp.differs_from(fingerprint(target, with_h1=False)):
                 continue
             attempts += 1
             if attempts > budget.sp_attempts:
@@ -585,14 +560,7 @@ def stably_permutation(
                 )
             res = iso(padded, target, budget)
             if res:
-                w = StablyPermutationWitness(
-                    padding=perm_from_decomposition(g, pad_labels),
-                    target=target,
-                    iso_map=res.witness,
-                    padding_labels=tuple(pad_labels),
-                    target_labels=tuple(target_labels),
-                )
-                return StablyPermutationResult("witness", w)
+                return found(res, pad_labels, target, target_labels)
     return StablyPermutationResult("unknown", detail="padding budget exhausted")
 
 
@@ -615,45 +583,36 @@ STATUS_EXIT = {
 }
 
 
-def _assemble_explicit_evidence(res: FlabbyResolution, spw: StablyPermutationWitness):
-    """0 -> M -> Q + P1 -> P2 -> 0 with both middle terms permutation."""
-    m = res.lattice
-    g = m.group
-    q = res.perm
-    p1 = spw.padding
-    total = direct_sum(q, p1) if p1.rank else q
-    inc = res.seq.inclusion.matrix
-    if p1.rank:
-        inc = inc.vstack(IntMatrix.zero(p1.rank, m.rank))
-    proj_to_e_plus_p1 = block_diag(res.seq.projection.matrix, IntMatrix.identity(p1.rank))
-    proj = spw.iso_map.matrix * proj_to_e_plus_p1
-    ext = ExtensionSpec(
-        sub=m,
-        total=total,
-        quotient=spw.target,
-        inclusion=LatticeMap(m, total, inc),
-        projection=LatticeMap(total, spw.target, proj),
-    )
-    ext.check()
-    return ext
-
-
 def classify(
     m: GLattice,
     table: ClassTable | None = None,
     budget: Budget = DEFAULT_BUDGET,
     annotations: dict | None = None,
 ) -> Verdict:
-    """Rationality status of the torus with character lattice m."""
+    """Rationality status of the torus with character lattice m.
+
+    The steps run in order: a literal permutation lattice, then an explicit
+    stably-permutation witness, then theorems (the class numbers of the
+    table, and over C_p the Steinitz class).
+    """
     table = table or default_class_table()
     g = m.group
-    if g.is_dihedral:
-        if g.n % 2 == 0 or not is_prime(g.n):
-            raise LatticeError("dihedral classification needs D_p, p an odd prime")
-        return _classify_dihedral(m, table, budget)
-    if not is_prime(g.n):
+    if g.is_dihedral and (g.n % 2 == 0 or not is_prime(g.n)):
+        raise LatticeError("dihedral classification needs D_p, p an odd prime")
+    if not g.is_dihedral and not is_prime(g.n):
         raise LatticeError("cyclic classification needs prime order")
-    return _classify_cyclic(m, table, budget, annotations or {})
+    labels = permutation_decomposition(m)
+    if labels is not None:
+        return Verdict(
+            status="StablyRational",
+            by_theorem=False,
+            reason="character lattice is a permutation lattice",
+            evidence={"orbit_types": labels},
+        )
+    quick = replace(budget, sp_attempts=min(budget.sp_attempts, QUICK_SP_ATTEMPTS))
+    if g.is_dihedral:
+        return _classify_dihedral(m, table, budget, quick)
+    return _classify_cyclic(m, table, quick, annotations or {})
 
 
 def _stably_permutation_evidence(m: GLattice, spw: StablyPermutationWitness):
@@ -673,20 +632,41 @@ def _stably_permutation_evidence(m: GLattice, spw: StablyPermutationWitness):
     return ext
 
 
-def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget) -> Verdict:
+def _flabby_part_verdict(res: FlabbyResolution, spw: StablyPermutationWitness) -> Verdict:
+    """StablyRational from 0 -> M -> Q + P1 -> P2 -> 0, both middle terms permutation."""
+    m = res.lattice
+    p1 = spw.padding
+    total = direct_sum(res.perm, p1) if p1.rank else res.perm
+    inc = res.seq.inclusion.matrix
+    if p1.rank:
+        inc = inc.vstack(IntMatrix.zero(p1.rank, m.rank))
+    proj_to_e_plus_p1 = block_diag(res.seq.projection.matrix, IntMatrix.identity(p1.rank))
+    ext = ExtensionSpec(
+        sub=m,
+        total=total,
+        quotient=spw.target,
+        inclusion=LatticeMap(m, total, inc),
+        projection=LatticeMap(total, spw.target, spw.iso_map.matrix * proj_to_e_plus_p1),
+    )
+    ext.check()
+    return Verdict(
+        status="StablyRational",
+        by_theorem=False,
+        reason="explicit stably-permutation witness for the flabby part",
+        evidence={
+            "resolution_summands": list(res.summands),
+            "padding": list(spw.padding_labels),
+            "target": list(spw.target_labels),
+            "sequence_total_rank": ext.total.rank,
+        },
+    )
+
+
+def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget, quick: Budget) -> Verdict:
     p = m.group.n
-    labels = permutation_decomposition(m)
-    if labels is not None:
-        return Verdict(
-            status="StablyRational",
-            by_theorem=False,
-            reason="character lattice is a permutation lattice",
-            evidence={"orbit_types": labels},
-        )
     # a flabby lattice that is itself stably permutation already gives the
     # two-permutation exact sequence, no resolution needed
-    if is_flabby(m).ok and (m.rank <= budget.classify_rank_cap or _witness_seeds(m)):
-        quick = replace(budget, sp_attempts=min(budget.sp_attempts, 10))
+    if is_flabby(m).ok and (m.rank <= CLASSIFY_RANK_CAP or _witness_seeds(m)):
         spw = stably_permutation(m, quick)
         if spw:
             ext = _stably_permutation_evidence(m, spw.witness)
@@ -702,23 +682,10 @@ def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget) -> Verdic
             )
     res = flabby_resolution(m)
     e = res.flabby_part
-    if e.rank <= budget.classify_rank_cap or _witness_seeds(e) or e.is_permutation:
+    if e.rank <= CLASSIFY_RANK_CAP or _witness_seeds(e) or e.is_permutation:
         spw = stably_permutation(e, budget)
-    else:
-        spw = StablyPermutationResult("unknown", detail="rank above the explicit-search cap")
-    if spw:
-        ext = _assemble_explicit_evidence(res, spw.witness)
-        return Verdict(
-            status="StablyRational",
-            by_theorem=False,
-            reason="explicit stably-permutation witness for the flabby part",
-            evidence={
-                "resolution_summands": list(res.summands),
-                "padding": list(spw.witness.padding_labels),
-                "target": list(spw.witness.target_labels),
-                "sequence_total_rank": ext.total.rank,
-            },
-        )
+        if spw:
+            return _flabby_part_verdict(res, spw.witness)
     h_plus = table.h_plus(p)
     if h_plus == 1:
         return Verdict(
@@ -736,39 +703,16 @@ def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget) -> Verdic
     )
 
 
-def _classify_cyclic(
-    m: GLattice, table: ClassTable, budget: Budget, annotations: dict
-) -> Verdict:
+def _classify_cyclic(m: GLattice, table: ClassTable, quick: Budget, annotations: dict) -> Verdict:
     # the flabby part's class is inverse to cl(M), so the obstruction runs on
     # cl(M) directly; building the (large) resolution buys nothing here
     p = m.group.n
-    labels = permutation_decomposition(m)
-    if labels is not None:
-        return Verdict(
-            status="StablyRational",
-            by_theorem=False,
-            reason="character lattice is a permutation lattice",
-            evidence={"orbit_types": labels},
-        )
     # explicit witness attempt for small inputs, mirroring the dihedral branch
-    if m.rank <= budget.classify_rank_cap:
+    if m.rank <= CLASSIFY_RANK_CAP:
         res = flabby_resolution(m)
-        e = res.flabby_part
-        quick = replace(budget, sp_attempts=min(budget.sp_attempts, 10))
-        spw = stably_permutation(e, quick)
+        spw = stably_permutation(res.flabby_part, quick)
         if spw:
-            ext = _assemble_explicit_evidence(res, spw.witness)
-            return Verdict(
-                status="StablyRational",
-                by_theorem=False,
-                reason="explicit stably-permutation witness for the flabby part",
-                evidence={
-                    "resolution_summands": list(res.summands),
-                    "padding": list(spw.witness.padding_labels),
-                    "target": list(spw.witness.target_labels),
-                    "sequence_total_rank": ext.total.rank,
-                },
-            )
+            return _flabby_part_verdict(res, spw.witness)
     asserted = annotations.get("non_principal_ideal")
     if asserted is not None:
         ideal = asserted

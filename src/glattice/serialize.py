@@ -17,10 +17,34 @@ def matrix_to_json(m: IntMatrix) -> list:
     return [list(row) for row in m.data]
 
 
-def matrix_from_json(data, cols: int | None = None) -> IntMatrix:
+def _object(data, what: str, *required: str) -> dict:
+    """data, checked to be a JSON object holding the required fields."""
+    if not isinstance(data, dict):
+        raise LatticeError(f"{what} must be a JSON object, not {type(data).__name__}")
+    for key in required:
+        if key not in data:
+            raise LatticeError(f"{what} lacks the field {key!r}")
+    return data
+
+
+def _int(data: dict, key: str, what: str) -> int:
+    try:
+        return int(data[key])
+    except (TypeError, ValueError):
+        raise LatticeError(f"{what} field {key!r} must be an integer, not {data[key]!r}") from None
+
+
+def matrix_from_json(data, cols: int | None = None, what: str = "matrix") -> IntMatrix:
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise LatticeError(f"{what} must be a JSON list of rows")
     if not data and cols is None:
         raise LatticeError("empty matrix needs an explicit column count")
-    return IntMatrix(data, cols=cols) if not data else IntMatrix(data)
+    if data and cols is not None and len(data[0]) != cols:
+        raise LatticeError(f"{what} has {len(data[0])} columns where {cols} were declared")
+    try:
+        return IntMatrix(data, cols=cols)
+    except TypeError:
+        raise LatticeError(f"{what} entries must be integers") from None
 
 
 def group_to_json(g: GroupSpec) -> dict:
@@ -28,12 +52,11 @@ def group_to_json(g: GroupSpec) -> dict:
 
 
 def group_from_json(data: dict) -> GroupSpec:
-    kind = data.get("kind")
-    n = data.get("n")
+    kind = _object(data, "group", "kind", "n")["kind"]
     if kind == "dihedral":
-        return dihedral(int(n))
+        return dihedral(_int(data, "n", "group"))
     if kind == "cyclic":
-        return cyclic(int(n))
+        return cyclic(_int(data, "n", "group"))
     raise LatticeError(f"unknown group kind {kind!r}")
 
 
@@ -50,17 +73,19 @@ def lattice_to_json(m: GLattice, annotations: dict | None = None) -> dict:
 
 
 def lattice_from_json(data: dict) -> tuple[GLattice, dict]:
+    _object(data, "lattice", "group", "rank", "sigma")
     g = group_from_json(data["group"])
-    rank = int(data["rank"])
-    sigma = matrix_from_json(data["sigma"], cols=rank)
+    rank = _int(data, "rank", "lattice")
+    sigma = matrix_from_json(data["sigma"], cols=rank, what="sigma")
     tau = None
     if data.get("tau") is not None:
-        tau = matrix_from_json(data["tau"], cols=rank)
+        tau = matrix_from_json(data["tau"], cols=rank, what="tau")
     lat = GLattice(g, sigma, tau)
-    raw = data.get("annotations") or {}
+    raw = _object(data.get("annotations") or {}, "annotations")
     annotations = dict(raw)
     if "non_principal_ideal" in raw:
-        annotations["non_principal_ideal"] = ideal_from_json(raw["non_principal_ideal"])
+        ideal = _object(raw["non_principal_ideal"], "annotation 'non_principal_ideal'")
+        annotations["non_principal_ideal"] = ideal_from_json(ideal)
     return lat, annotations
 
 
@@ -96,9 +121,10 @@ def ideal_to_json(i: IdealHNF) -> dict:
 
 
 def ideal_from_json(data: dict) -> IdealHNF:
+    _object(data, "ideal", "p", "basis")
     return ideal_from_rows(
-        int(data["p"]),
-        IntMatrix(data["basis"]),
+        _int(data, "p", "ideal"),
+        matrix_from_json(data["basis"], what="ideal basis"),
         bool(data.get("real_subfield", False)),
     )
 
@@ -118,10 +144,14 @@ def class_table_to_json(t: ClassTable) -> list:
 
 
 def class_table_from_json(data) -> ClassTable:
+    if not isinstance(data, list):
+        raise LatticeError(f"class table must be a JSON list of rows, not {type(data).__name__}")
     entries = []
-    for row in data:
+    for i, row in enumerate(data):
+        what = f"class table row {i}"
+        _object(row, what, "p", "h_plus")
         entries.append(
-            (int(row["p"]), row.get("h"), int(row["h_plus"]), row.get("source", ""))
+            (_int(row, "p", what), row.get("h"), _int(row, "h_plus", what), row.get("source", ""))
         )
     return ClassTable(entries=tuple(entries))
 

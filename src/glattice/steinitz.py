@@ -16,6 +16,7 @@ from math import isqrt
 
 from .exactla import (
     IntMatrix,
+    det,
     right_kernel_basis,
     row_space_hnf,
 )
@@ -66,8 +67,6 @@ class TorsionModule:
 
     @property
     def order(self) -> int:
-        from .exactla import det
-
         return abs(det(self.relations)) if self.dim else 1
 
 
@@ -133,8 +132,6 @@ def _apply_poly(poly, zmat: IntMatrix) -> IntMatrix:
 
 
 def _lattice_index_det(sup: IntMatrix, sub: IntMatrix) -> int:
-    from .exactla import det
-
     dsup, dsub = abs(det(sup)), abs(det(sub))
     if dsup == 0 or dsub % dsup:
         raise LatticeError("nested lattice determinants do not divide")

@@ -43,7 +43,7 @@ def iso_oracle(a, b, budget=DEFAULT_BUDGET, seeds=()) -> IsoResult:
         return IsoResult("noniso", detail="rank")
     if a == b:
         return IsoResult("iso", LatticeMap(a, b, IntMatrix.identity(a.rank)))
-    diff = fingerprint(a, budget).differs_from(fingerprint(b, budget))
+    diff = fingerprint(a).differs_from(fingerprint(b))
     if diff is not None:
         return IsoResult("noniso", detail=diff)
     basis = hom_space_basis(a, b)

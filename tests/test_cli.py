@@ -142,6 +142,52 @@ def test_steinitz_command(tmp_path):
     assert data["known_trivial"] is True and data["generator"] is not None
 
 
+def _bad_lattices():
+    good = serialize.lattice_to_json(build("X", 3))
+    return {
+        "a list": ([good], "lattice must be a JSON object"),
+        "no sigma": ({k: v for k, v in good.items() if k != "sigma"}, "lacks the field 'sigma'"),
+        "no group": ({k: v for k, v in good.items() if k != "group"}, "lacks the field 'group'"),
+        "rank null": (dict(good, rank=None), "field 'rank' must be an integer"),
+        "sigma a number": (dict(good, sigma=5), "sigma must be a JSON list of rows"),
+        "sigma null entry": (dict(good, sigma=[[None] * 3] * 3), "sigma entries must be integers"),
+        "rank not the width": (dict(good, rank=5), "sigma has 3 columns where 5 were declared"),
+        "ideal not an object": (
+            dict(good, annotations={"non_principal_ideal": [[1, 0], [0, 1]]}),
+            "annotation 'non_principal_ideal' must be a JSON object",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_lattices()))
+def test_malformed_lattice_file_exits_3(tmp_path, capsys, case):
+    doc, named = _bad_lattices()[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("classify", "cohomology", "resolve", "steinitz"):
+        assert run([cmd, "--in", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert run(["iso", "--a", path, "--b", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_malformed_class_table_exits_3(tmp_path, capsys):
+    lat_path = tmp_path / "x5.json"
+    lat_path.write_text(json.dumps(serialize.lattice_to_json(build("X", 5))))
+    table_path = tmp_path / "table.json"
+    for doc, named in (
+        ({"p": 5, "h": 1, "h_plus": 1}, "class table must be a JSON list"),
+        ([{"p": 5, "h": 1}], "class table row 0 lacks the field 'h_plus'"),
+    ):
+        table_path.write_text(json.dumps(doc))
+        for args in (["classify", "--in", lat_path], ["table", "--p", 5]):
+            assert run(args + ["--table", table_path]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 def test_json_roundtrips():
     lat = build("MminusTilde", 5)
     doc = serialize.lattice_to_json(lat)

@@ -8,6 +8,7 @@ from glattice.groups import (
     GroupElement,
     class_by_label,
     conjugate_subgroup,
+    cyclic,
     dihedral,
     elements,
     full_class,
@@ -137,6 +138,9 @@ def test_dual():
     assert dd == reg
     # permutation lattices are self-dual entrywise (orthogonal matrices)
     assert dual(reg) == reg
+    for h in (dihedral(3), dihedral(5), dihedral(9), cyclic(6)):
+        for cls in subgroup_classes(h):
+            assert dual(perm_lattice(h, cls)) == perm_lattice(h, cls), (h, cls.label)
     mp = induce(g, -1)
     assert dual(dual(mp)) == mp
     dual(mp)._check_relations()

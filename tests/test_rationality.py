@@ -11,6 +11,7 @@ from glattice.lattices import (
     GLattice,
     anisotropic_sublattice,
     direct_sum,
+    dual,
     perm_lattice,
     regular_lattice,
     restrict,
@@ -51,12 +52,12 @@ def test_fingerprint_r_at_5():
 
 
 def test_fingerprint_h1_bound_follows_the_fox_system():
-    # rank 40 over C_13: the Fox system has 120 equations, within h1_limit
+    # rank 40 over C_13: H^1 enters the fingerprint unless with_h1=False
     g = dihedral(13)
     lat = restrict(direct_sum(build("Y2", 13), build("Y0", 13)), class_by_label(g, "C_13"))
     assert lat.rank == 40
     assert all(h1v is not None for *_, h1v in fingerprint(lat).entries)
-    assert all(h1v is None for *_, h1v in fingerprint(lat, Budget().without_h1()).entries)
+    assert all(h1v is None for *_, h1v in fingerprint(lat, with_h1=False).entries)
 
 
 def test_census_pairwise_distinct():
@@ -116,6 +117,7 @@ def test_flabby_resolutions_catalog(p):
         res.seq.check()
         assert is_flabby(res.flabby_part).ok
         assert res.perm.is_permutation
+        assert dual(res.perm) == res.perm
         assert res.perm.rank == res.lattice.rank + res.flabby_part.rank
 
 
@@ -250,8 +252,6 @@ def test_extra_variable_count():
 def test_flabby_resolution_stress_random_inputs():
     # duals, norm kernels, and mixed sums all must resolve with verified
     # exactness and a flabby cokernel
-    from glattice.lattices import dual
-
     rng = random.Random(99)
     for p in (3, 5):
         pool = [build(nm, p) for nm in LEE_NAMES]
@@ -269,6 +269,7 @@ def test_flabby_resolution_stress_random_inputs():
             res.seq.check()
             assert is_flabby(res.flabby_part).ok
             assert res.perm.is_permutation
+            assert dual(res.perm) == res.perm
 
 
 def test_flabby_class_additivity_fingerprints():
@@ -335,6 +336,9 @@ def _iso_oracle_cases():
             tinv = inverse_unimodular(t)
             moved = GLattice(m.group, t * m.sigma * tinv, t * m.tau * tinv)
             cases.append((m, moved, Budget(box_radius=2, draws=500)))
+            if p == 3:  # the box paths: an empty box, and a 3-candidate cap
+                cases.append((m, moved, Budget(box_radius=0)))
+                cases.append((m, moved, Budget(box_radius=1, draws=3)))
         for na, nb in zip(LEE_NAMES, LEE_NAMES[1:]):
             cases.append((build(na, p), build(nb, p), FAST))
     g = dihedral(3)
@@ -362,6 +366,8 @@ def test_iso_matches_the_unscreened_oracle():
         outcomes.append(got.outcome if got.outcome != "unknown" else got.detail)
     assert outcomes.count("iso") >= 20
     assert "3000 draws exhausted, dim 14" in outcomes
+    assert "box 0 exhausted, dim 2" in outcomes
+    assert "box cap 3 hit, dim 2" in outcomes
 
 
 @st.composite
