@@ -448,17 +448,12 @@ def _ideal_row_lattice(p: int, ideal, extra_factor=None) -> "GLattice":
     rows = []
     zeta_m = mult_matrix(p, [0, 1])
     for a_row in ideal.basis.data:
-        vec = [0] * (p - 1)
-        for c, erow in zip(a_row, emb.data):
-            if c:
-                for k in range(p - 1):
-                    vec[k] += c * erow[k]
+        cur = emb.vecmat(a_row)
         if extra_factor is not None:
-            vec = list(elem_mul(p, tuple(vec), extra_factor))
-        cur = list(vec)
+            cur = elem_mul(p, cur, extra_factor)
         for _ in range(p - 1):
             rows.append(cur)
-            cur = list((IntMatrix([cur]) * zeta_m).data[0])
+            cur = zeta_m.vecmat(cur)
     basis = row_space_hnf(IntMatrix(rows, cols=p - 1))
     if basis.rows != p - 1:
         raise LatticeError("twist ideal did not span a full-rank lattice")

@@ -49,13 +49,16 @@ def _invariants_of_submodule(kernel_rows: IntMatrix, generators: list) -> Abelia
     return cokernel_invariants(coords)
 
 
-def tate_hminus1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
-    """ker(N_S) / I_S.M with N_S the subgroup norm.
+def tate_hminus1(
+    m: GLattice, s: SubgroupClass, norm: IntMatrix | None = None
+) -> AbelianInvariants:
+    """ker(N_S) / I_S.M with N_S the subgroup norm (`m.norm_matrix(s)` unless given).
 
     I_S.M is spanned by (g - 1)M over the generators g of S alone, since
     (gh - 1)m = (g - 1)(hm) + (h - 1)m.
     """
-    norm = m.norm_matrix(s)
+    if norm is None:
+        norm = m.norm_matrix(s)
     kernel = right_kernel_basis(norm)
     ident = IntMatrix.identity(m.rank)
     gens = []
@@ -69,10 +72,13 @@ def tate_hminus1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
     return _invariants_of_submodule(kernel, gens)
 
 
-def tate_h0(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
-    """M^S / N_S.M."""
+def tate_h0(
+    m: GLattice, s: SubgroupClass, norm: IntMatrix | None = None
+) -> AbelianInvariants:
+    """M^S / N_S.M with N_S the subgroup norm (`m.norm_matrix(s)` unless given)."""
     fixed = fixed_sublattice(m, s)
-    norm = m.norm_matrix(s)
+    if norm is None:
+        norm = m.norm_matrix(s)
     gens = list(norm.transpose().data)
     return _invariants_of_submodule(fixed, gens)
 
@@ -223,5 +229,6 @@ class CohomologyTable:
 def cohomology_table(m: GLattice, lattice_id: str = "") -> CohomologyTable:
     rows = []
     for cls in subgroup_classes(m.group):
-        rows.append((cls.label, tate_hminus1(m, cls), tate_h0(m, cls), h1(m, cls)))
+        norm = m.norm_matrix(cls)
+        rows.append((cls.label, tate_hminus1(m, cls, norm), tate_h0(m, cls, norm), h1(m, cls)))
     return CohomologyTable(lattice_id=lattice_id, entries=tuple(rows))

@@ -196,11 +196,9 @@ def principal_ideal(p: int, alpha, real_subfield: bool = False) -> IdealHNF:
     if real_subfield:
         half = (p - 1) // 2
         m = real_mult_eta_matrix(p)
-        rows = [list(alpha)]
-        current = IntMatrix([list(alpha)])
+        rows = [tuple(alpha)]
         for _ in range(half - 1):
-            current = current * m
-            rows.append(list(current.data[0]))
+            rows.append(m.vecmat(rows[-1]))
         return ideal_from_rows(p, IntMatrix(rows, cols=half), True)
     return ideal_from_rows(p, mult_matrix(p, list(alpha)))
 
@@ -213,10 +211,9 @@ def ideal_mul(a: IdealHNF, b: IdealHNF) -> IdealHNF:
     if a.real_subfield:
         emb = eta_power_rows(p)
         for ra in a.basis.data:
-            ea = _embed_real(p, ra)
+            ea = emb.vecmat(ra)
             for rb in b.basis.data:
-                eb = _embed_real(p, rb)
-                prod = elem_mul(p, ea, eb)
+                prod = elem_mul(p, ea, emb.vecmat(rb))
                 coords = solve_left(emb, prod)
                 rows.append(list(coords))
         return ideal_from_rows(p, IntMatrix(rows, cols=a.degree), True)
@@ -224,16 +221,6 @@ def ideal_mul(a: IdealHNF, b: IdealHNF) -> IdealHNF:
         for rb in b.basis.data:
             rows.append(list(elem_mul(p, ra, rb)))
     return ideal_from_rows(p, IntMatrix(rows, cols=p - 1))
-
-
-def _embed_real(p: int, coords) -> tuple:
-    emb = eta_power_rows(p)
-    out = [0] * (p - 1)
-    for c, row in zip(coords, emb.data):
-        if c:
-            for k in range(p - 1):
-                out[k] += c * row[k]
-    return tuple(out)
 
 
 @dataclass(frozen=True)

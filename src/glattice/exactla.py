@@ -102,11 +102,7 @@ class IntMatrix:
             return IntMatrix([[x * other for x in r] for r in self.data], cols=self.cols)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose().data
-        out = []
-        for r in self.data:
-            out.append([sum(a * b for a, b in zip(r, c)) for c in ot])
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix([other.vecmat(r) for r in self.data], cols=other.cols)
 
     def __rmul__(self, k: int) -> "IntMatrix":
         return self * k
@@ -115,15 +111,19 @@ class IntMatrix:
         """self acting on a column vector."""
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.data)
+        return tuple(sum([a * v[j] for j, a in enumerate(r) if a]) for r in self.data)
 
     def vecmat(self, v: Sequence[int]) -> tuple:
-        """Row vector times self."""
+        """Row vector times self: the sum of x * row i over the nonzero v[i] = x."""
         if len(v) != self.rows:
             raise ValueError("length mismatch")
-        return tuple(
-            sum(v[i] * self.data[i][j] for i in range(self.rows)) for j in range(self.cols)
-        )
+        out = [0] * self.cols
+        for x, r in zip(v, self.data):
+            if x:
+                for j, a in enumerate(r):
+                    if a:
+                        out[j] += x * a
+        return tuple(out)
 
     def power(self, k: int) -> "IntMatrix":
         if not self.is_square:
@@ -433,6 +433,8 @@ def det(m: IntMatrix) -> int:
         akk = a[k][k]
         for i in range(k + 1, n):
             aik = a[i][k]
+            if not aik and akk == prev:
+                continue  # this step would leave row i as it is
             ai = a[i]
             ak = a[k]
             for j in range(k + 1, n):

@@ -27,11 +27,15 @@ def _object(data, what: str, *required: str) -> dict:
     return data
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer; a float such as 2.0, a bool or a string is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int(data: dict, key: str, what: str) -> int:
-    try:
-        return int(data[key])
-    except (TypeError, ValueError):
-        raise LatticeError(f"{what} field {key!r} must be an integer, not {data[key]!r}") from None
+    if not _is_int(data[key]):
+        raise LatticeError(f"{what} field {key!r} must be an integer, not {data[key]!r}")
+    return data[key]
 
 
 def matrix_from_json(data, cols: int | None = None, what: str = "matrix") -> IntMatrix:
@@ -41,10 +45,11 @@ def matrix_from_json(data, cols: int | None = None, what: str = "matrix") -> Int
         raise LatticeError("empty matrix needs an explicit column count")
     if data and cols is not None and len(data[0]) != cols:
         raise LatticeError(f"{what} has {len(data[0])} columns where {cols} were declared")
-    try:
-        return IntMatrix(data, cols=cols)
-    except TypeError:
-        raise LatticeError(f"{what} entries must be integers") from None
+    for row in data:
+        for x in row:
+            if not _is_int(x):
+                raise LatticeError(f"{what} entries must be integers, not {x!r}")
+    return IntMatrix(data, cols=cols)
 
 
 def group_to_json(g: GroupSpec) -> dict:

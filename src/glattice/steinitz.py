@@ -296,14 +296,10 @@ def principality(
     for mult in range(1, search_bound + 1):
         bound = base * mult
         for coeffs in short_vectors(gram, bound, limit=limit):
-            alpha = [0] * (p - 1)
-            for c, row in zip(coeffs, ideal.basis.data):
-                if c:
-                    for k in range(p - 1):
-                        alpha[k] += c * row[k]
+            alpha = ideal.basis.vecmat(coeffs)
             if abs(field_norm(p, alpha)) == target:
                 if principal_ideal(p, alpha) == ideal:
-                    return PrincipalityResult(generator=tuple(alpha))
+                    return PrincipalityResult(generator=alpha)
     return PrincipalityResult(generator=None)
 
 

@@ -152,6 +152,36 @@ def _bad_lattices():
         "sigma a number": (dict(good, sigma=5), "sigma must be a JSON list of rows"),
         "sigma null entry": (dict(good, sigma=[[None] * 3] * 3), "sigma entries must be integers"),
         "rank not the width": (dict(good, rank=5), "sigma has 3 columns where 5 were declared"),
+        # JSON numbers that are not integers are refused, never truncated
+        "fractional entry": (
+            {"group": {"kind": "cyclic", "n": 2}, "rank": 1, "sigma": [[-1.5]]},
+            "sigma entries must be integers, not -1.5",
+        ),
+        "fractional n and rank": (
+            {"group": {"kind": "cyclic", "n": 2.7}, "rank": 1.2, "sigma": [[-1]]},
+            "group field 'n' must be an integer, not 2.7",
+        ),
+        "fractional rank": (
+            {"group": {"kind": "cyclic", "n": 2}, "rank": 1.2, "sigma": [[-1]]},
+            "lattice field 'rank' must be an integer, not 1.2",
+        ),
+        "integral float n": (
+            {"group": {"kind": "cyclic", "n": 2.0}, "rank": 1, "sigma": [[-1]]},
+            "group field 'n' must be an integer, not 2.0",
+        ),
+        "string rank": (dict(good, rank="3"), "lattice field 'rank' must be an integer, not '3'"),
+        "bool entry": (
+            {"group": {"kind": "cyclic", "n": 2}, "rank": 1, "sigma": [[True]]},
+            "sigma entries must be integers, not True",
+        ),
+        "fractional ideal p": (
+            dict(good, annotations={"non_principal_ideal": {"p": 3.5, "basis": [[1]]}}),
+            "ideal field 'p' must be an integer, not 3.5",
+        ),
+        "fractional ideal entry": (
+            dict(good, annotations={"non_principal_ideal": {"p": 3, "basis": [[1.0]]}}),
+            "ideal basis entries must be integers, not 1.0",
+        ),
         "ideal not an object": (
             dict(good, annotations={"non_principal_ideal": [[1, 0], [0, 1]]}),
             "annotation 'non_principal_ideal' must be a JSON object",
@@ -180,6 +210,7 @@ def test_malformed_class_table_exits_3(tmp_path, capsys):
     for doc, named in (
         ({"p": 5, "h": 1, "h_plus": 1}, "class table must be a JSON list"),
         ([{"p": 5, "h": 1}], "class table row 0 lacks the field 'h_plus'"),
+        ([{"p": 5, "h": 1, "h_plus": 1.5}], "class table row 0 field 'h_plus' must be an integer"),
     ):
         table_path.write_text(json.dumps(doc))
         for args in (["classify", "--in", lat_path], ["table", "--p", 5]):

@@ -6,7 +6,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dense_oracle import dense_matvec, dense_mul, dense_power, dense_vecmat
+from glattice.catalog import circulant, circulant_pattern_one, circulant_pattern_two
 from glattice.exactla import (
     AbelianInvariants,
     IntMatrix,
@@ -333,3 +336,98 @@ def test_oracle_bulk_small_matrices():
         check_hnf_contract(m)
         if rows == cols:
             assert det(m) == det_cofactor(m)
+
+
+# --- sparse products against the dense oracle --------------------------------
+
+# zero-heavy: small entries, a forced zero, and entries far above 2^64
+_ENTRY = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _operand(draw, rows: int, cols: int) -> IntMatrix:
+    """An entry matrix, or (when square) a signed permutation matrix."""
+    if rows == cols and draw(st.booleans()):
+        perm = draw(st.permutations(range(rows)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rows, max_size=rows))
+        return IntMatrix(
+            [[signs[i] if j == perm[i] else 0 for j in range(rows)] for i in range(rows)],
+            cols=rows,
+        )
+    row = st.lists(_ENTRY, min_size=cols, max_size=cols)
+    return IntMatrix(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+
+@st.composite
+def _product_case(draw):
+    r, n, c = (draw(st.integers(0, 6)) for _ in range(3))
+    if draw(st.booleans()):
+        n = c = r
+    a, b = draw(_operand(r, n)), draw(_operand(n, c))
+    vectors = [draw(st.lists(_ENTRY, min_size=k, max_size=k)) for k in (n, r)]
+    return a, b, draw(_ENTRY), *vectors, draw(st.integers(0, 5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_product_case())
+def test_products_match_the_dense_oracle(case):
+    a, b, k, v, w, e = case
+    assert a * b == dense_mul(a, b)
+    assert a * k == k * a == dense_mul(a, k)
+    assert a.matvec(v) == dense_matvec(a, v)
+    assert a.vecmat(w) == dense_vecmat(a, w)
+    if a.is_square:
+        assert a.power(e) == dense_power(a, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(1, 3), st.data())
+def test_product_shape_mismatch_raises(r, n, c, off, data):
+    a, b = data.draw(_operand(r, n)), data.draw(_operand(n + off, c))
+    with pytest.raises(ValueError):
+        a * b
+    for fn in (a.matvec, a.vecmat):
+        with pytest.raises(ValueError):
+            fn([0] * (max(r, n) + off))
+    if r != n:
+        with pytest.raises(ValueError):
+            a.power(2)
+
+
+def _unit_triangular(rng, n: int, lower: bool) -> IntMatrix:
+    """Ones on the diagonal and a few small entries on one side of it."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+        for j in range(i) if lower else range(i + 1, n):
+            if rng.random() < 0.3:
+                rows[i][j] = rng.choice((-2, -1, 1, 2))
+    return IntMatrix(rows, cols=n)
+
+
+def test_det_on_sparse_unimodular_products():
+    # pivots of 1 after pivots of 1 (akk == prev) with zeros below them:
+    # the elimination skips those rows
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = IntMatrix([[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)], cols=n)
+        m = p * _unit_triangular(rng, n, True) * _unit_triangular(rng, n, False)
+        assert det(m) == det_cofactor(m) in (1, -1)
+        assert det(m * 3) == det_cofactor(m * 3)
+
+
+def test_det_on_sparse_circulants():
+    rng = random.Random(37)
+    for n in range(1, 16):
+        for weight in (1, 2, 3):
+            c = [0] * n
+            for k in rng.sample(range(n), min(weight, n)):
+                c[k] = rng.choice((-3, -2, -1, 1, 2, 3))
+            m = circulant(c)
+            assert det(m) == det_cofactor(m), c
+    for n in (3, 5, 7, 9):
+        assert det(circulant(circulant_pattern_one(n))) == (n - 1) // 2
+        assert det(circulant(circulant_pattern_two(n))) == -1

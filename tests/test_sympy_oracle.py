@@ -1,0 +1,34 @@
+"""`snf` and `det` against sympy, an independent exact implementation."""
+
+import random
+
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
+
+from glattice.exactla import IntMatrix, det, snf
+
+
+def _matrices(seed: int, square: bool):
+    """Seeded matrices up to 10 x 10, from dense to mostly zero."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        rows = rng.randint(1, 10)
+        cols = rows if square else rng.randint(1, 10)
+        density = rng.choice((0.15, 0.4, 1.0))
+        yield IntMatrix(
+            [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)],
+            cols=cols,
+        )
+
+
+def test_snf_diagonal_matches_sympy_invariant_factors():
+    for m in _matrices(41, square=False):
+        ours = [d for d in snf(m).diagonal() if d]
+        theirs = [int(d) for d in invariant_factors(Matrix(m.tolists()), domain=ZZ) if d]
+        assert ours == theirs, m
+
+
+def test_det_matches_sympy():
+    for m in _matrices(43, square=True):
+        assert det(m) == int(Matrix(m.tolists()).det(method="berkowitz")), m
