@@ -1,10 +1,11 @@
 """Flabby resolutions, isomorphism search, and rationality verdicts.
 
 The verdict engine mirrors the decision structure for D_p and C_p tori:
-build a flabby resolution, try to certify the flabby part stably
-permutation by an explicit unimodular intertwiner (catalog witnesses
-seed the search), and otherwise fall back to class-number facts from the
-table, or to the Steinitz obstruction over C_p.
+build a minimal flabby resolution, try to certify the lattice or its
+flabby part (the smaller first) stably permutation by an explicit
+unimodular intertwiner (catalog witnesses seed the search), and otherwise
+fall back to class-number facts from the table, or to the Steinitz
+obstruction over C_p.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from .exactla import (
     IntMatrix,
     block_diag,
     det,
-    express_rows,
+    hnf,
     inverse_unimodular,
     right_kernel_basis,
     row_space_hnf,
     snf,
+    solve_with_hnf,
 )
-from .groups import SubgroupClass, class_by_label, conjugate, elements, subgroup_classes
+from .groups import class_by_label, conjugate, elements, subgroup_classes
 from .lattices import (
     ExtensionSpec,
     GLattice,
@@ -37,7 +39,6 @@ from .lattices import (
     perm_lattice,
     quotient_with_maps,
     trivial_lattice,
-    zero_lattice,
 )
 from .cohomology import h1, is_flabby, tate_h0, tate_hminus1
 from .catalog import build, is_prime, witness
@@ -310,106 +311,86 @@ class FlabbyResolution:
     summands: tuple  # subgroup-class labels of the permutation cover
 
 
-def _minimal_cover_generators(mdual: GLattice, cls: SubgroupClass, image_rows):
-    """Vectors of (M*)^S needed on top of the current image (by SNF of coords)."""
-    fixed = fixed_sublattice(mdual, cls)
-    if fixed.rows == 0:
-        return []
-    if image_rows:
-        coords = express_rows(fixed, IntMatrix(image_rows, cols=mdual.rank))
-        if coords is None:
-            raise LatticeError("fixed image escaped the fixed sublattice")
-        res = snf(coords)
-        diag = res.diagonal() + [0] * (fixed.rows - min(coords.rows, fixed.rows))
-        needed = [i for i in range(fixed.rows) if i >= len(diag) or diag[i] != 1]
-        if not needed:
-            return []
-        vinv = inverse_unimodular(res.v)
-        return [fixed.vecmat(vinv.data[i]) for i in needed]
-    return [tuple(row) for row in fixed.data]
+def _missing_generator(fixed: IntMatrix, coords: list) -> tuple | None:
+    """A vector of (M*)^S outside the image, or None when the image spans it.
+
+    `fixed` is a basis of (M*)^S and `coords` are the image rows in that
+    basis.  With U C V = D the SNF of the coordinates, the image is spanned
+    by d_i times row i of V^-1, so the first row with d_i != 1 is missing.
+    """
+    if not fixed.rows or not coords:
+        return fixed.data[0] if fixed.rows else None
+    res = snf(IntMatrix(coords, cols=fixed.rows))
+    diag = res.diagonal()
+    missing = [i for i in range(fixed.rows) if i >= len(diag) or diag[i] != 1]
+    return fixed.vecmat(inverse_unimodular(res.v).data[missing[0]]) if missing else None
 
 
 def flabby_resolution(m: GLattice, check: bool = True) -> FlabbyResolution:
     """0 -> M -> Q -> E -> 0 with Q permutation and E flabby.
 
-    Built by covering the dual: one Z[G/S] summand per needed generator of
-    each fixed sublattice (largest subgroups first), then dualizing.
+    Built by covering the dual (Colliot-Thelene-Sansuc): Q is a sum of
+    Z[G/S_i] sending the coset S_i to a vector of (M*)^{S_i}, and the dual
+    of Q -> M* has a flabby cokernel once Q^S -> (M*)^S is onto for every
+    class S.  The cover is kept minimal, as in the low-rank step of
+    Hoshi-Yamasaki: a greedy pass over the classes, largest subgroups
+    first, adds one summand at a time for a vector the image still misses,
+    and a drop pass then removes each summand the others can do without.
     """
     g = m.group
-    mdual = dual(m)
-    classes = sorted(subgroup_classes(g), key=lambda c: -c.order)
-    summands: list[tuple[str, tuple]] = []  # (label, target fixed vector)
-    cover_parts: list[GLattice] = []
-    part_col_start: list[int] = []
-    phi_cols: list[list[int]] = []  # columns of Q -> M*
-    perm_cache: dict[str, GLattice] = {}
-    fixed_cache: dict[tuple, IntMatrix] = {}
-
-    def part_for(cls):
-        lat = perm_cache.get(cls.label)
-        if lat is None:
-            lat = perm_lattice(g, cls)
-            perm_cache[cls.label] = lat
-        return lat
-
-    def fixed_rows_of_part(part_label, cls):
-        key = (part_label, cls.label)
-        got = fixed_cache.get(key)
-        if got is None:
-            got = fixed_sublattice(perm_cache[part_label], cls)
-            fixed_cache[key] = got
-        return got
-
-    def current_images(cls) -> list:
-        """Images in (M*)^S of the S-fixed basis of the current cover.
-
-        The cover is block diagonal, so its fixed sublattice is the
-        concatenation of the per-summand fixed sublattices.
-        """
-        rows = []
-        for (label, _), part, start in zip(summands, cover_parts, part_col_start):
-            for row in fixed_rows_of_part(label, cls).data:
-                vec = [0] * mdual.rank
-                for j, c in enumerate(row):
-                    if c:
-                        col = phi_cols[start + j]
-                        for k in range(mdual.rank):
-                            vec[k] += c * col[k]
-                rows.append(vec)
-        return rows
-
-    for cls in classes:
-        needed = _minimal_cover_generators(mdual, cls, current_images(cls))
-        for vec in needed:
-            part = part_for(cls)
-            part_col_start.append(len(phi_cols))
-            cover_parts.append(part)
-            summands.append((cls.label, vec))
-            # the coset basis of Z[G/S] maps to rho(x_i) . vec
-            for coset in cosets(g, cls):
-                rep = coset[0]
-                phi_cols.append(list(mdual.rho(rep).matvec(vec)))
-    if not cover_parts:
-        # zero lattice: resolve trivially by an empty cover
-        if m.rank:
-            raise LatticeError("non-zero lattice produced an empty cover")
+    if not m.rank:
+        # zero lattice: 0 -> 0 -> 0 -> 0 -> 0, an empty cover
         ident_ext = ExtensionSpec(
             sub=m,
             total=m,
-            quotient=zero_lattice(g),
-            inclusion=LatticeMap(m, m, IntMatrix.identity(m.rank)),
-            projection=LatticeMap(m, zero_lattice(g), IntMatrix([], cols=m.rank)),
+            quotient=m,
+            inclusion=LatticeMap(m, m, IntMatrix.identity(0)),
+            projection=LatticeMap(m, m, IntMatrix([], cols=0)),
         )
-        return FlabbyResolution(m, m, zero_lattice(g), ident_ext, ())
-    q = direct_sum(*cover_parts)
-    phi = IntMatrix([[col[i] for col in phi_cols] for i in range(mdual.rank)])
-    # sanity: phi must be surjective (the trivial class covers everything)
-    if not _surjective(phi):
-        raise LatticeError("permutation cover is not surjective")
-    # Q is its own dual: a permutation matrix's inverse is its transpose
-    inclusion = phi.transpose()
-    sub_rows = row_space_hnf(phi)
-    quo = quotient_with_maps(q, sub_rows)
+        return FlabbyResolution(m, m, m, ident_ext, ())
+    mdual = dual(m)
+    classes = sorted(subgroup_classes(g), key=lambda c: -c.order)
+    fixed = {c.label: fixed_sublattice(mdual, c) for c in classes}
+    fixed_hnf = {label: hnf(f) for label, f in fixed.items()}
+    parts: dict[str, GLattice] = {}
+    part_fixed: dict[tuple, IntMatrix] = {}  # (part label, class label) -> fixed rows
+
+    def summand(cls, vec):
+        """(label, part, translates, S-fixed image coordinates per class S)."""
+        if cls.label not in parts:
+            parts[cls.label] = perm_lattice(g, cls)
+            for c in classes:
+                part_fixed[cls.label, c.label] = fixed_sublattice(parts[cls.label], c)
+        # the coset basis of Z[G/S] maps to rho(x_i) . vec
+        translates = IntMatrix([mdual.rho(c[0]).matvec(vec) for c in cosets(g, cls)])
+        images = {}
+        for c in classes:
+            rows = [translates.vecmat(r) for r in part_fixed[cls.label, c.label].data]
+            images[c.label] = [solve_with_hnf(fixed_hnf[c.label], row) for row in rows]
+            if None in images[c.label]:
+                raise LatticeError("fixed image escaped the fixed sublattice")
+        return cls.label, parts[cls.label], translates, images
+
+    def gap(cls, cover):
+        coords = [row for *_, images in cover for row in images[cls.label]]
+        return _missing_generator(fixed[cls.label], coords)
+
+    cover = []
+    for cls in classes:
+        while (vec := gap(cls, cover)) is not None:
+            cover.append(summand(cls, vec))
+    for item in list(cover):
+        rest = [other for other in cover if other is not item]
+        if all(gap(cls, rest) is None for cls in classes):
+            cover = rest
+    q = direct_sum(*(part for _, part, _, _ in cover))
+    # M -> Q is the transpose of Q -> M*, since Q is its own dual (a
+    # permutation matrix's inverse is its transpose); the trivial class
+    # being covered makes Q -> M* onto
+    inclusion = IntMatrix.from_rows(
+        [row for _, _, translates, _ in cover for row in translates.data], cols=m.rank
+    )
+    quo = quotient_with_maps(q, row_space_hnf(inclusion.transpose()))
     flabby_part = quo.lattice
     seq = ExtensionSpec(
         sub=m,
@@ -428,16 +409,7 @@ def flabby_resolution(m: GLattice, check: bool = True) -> FlabbyResolution:
         perm=q,
         flabby_part=flabby_part,
         seq=seq,
-        summands=tuple(lab for lab, _ in summands),
-    )
-
-
-def _surjective(matrix: IntMatrix) -> bool:
-    if matrix.rows == 0:
-        return True
-    diag = snf(matrix).diagonal()
-    return sum(1 for d in diag if d) == matrix.rows and all(
-        d == 1 for d in diag if d
+        summands=tuple(label for label, *_ in cover),
     )
 
 
@@ -503,12 +475,17 @@ def _witness_seeds(m: GLattice):
 
 
 def stably_permutation(
-    m: GLattice, budget: Budget = DEFAULT_BUDGET
+    m: GLattice, budget: Budget = DEFAULT_BUDGET, check: bool = True
 ) -> StablyPermutationResult:
-    """Search for P1, P2 permutation with m + P1 isomorphic to P2."""
-    rep = is_flabby(m)
-    if not rep.ok:
-        raise LatticeError(f"stably-permutation question is posed for flabby lattices: {rep.failing}")
+    """Search for P1, P2 permutation with m + P1 isomorphic to P2.
+
+    The question is posed for flabby lattices; `check=False` skips the
+    flabbiness test for a lattice the caller has just tested.
+    """
+    if check:
+        rep = is_flabby(m)
+        if not rep.ok:
+            raise LatticeError(f"stably-permutation question is posed for flabby lattices: {rep.failing}")
     g = m.group
 
     def padded_by(labels) -> GLattice:
@@ -665,28 +642,41 @@ def _flabby_part_verdict(res: FlabbyResolution, spw: StablyPermutationWitness) -
 
 def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget, quick: Budget) -> Verdict:
     p = m.group.n
-    # a flabby lattice that is itself stably permutation already gives the
-    # two-permutation exact sequence, no resolution needed
-    if is_flabby(m).ok and (m.rank <= CLASSIFY_RANK_CAP or _witness_seeds(m)):
-        spw = stably_permutation(m, quick)
-        if spw:
-            ext = _stably_permutation_evidence(m, spw.witness)
-            return Verdict(
-                status="StablyRational",
-                by_theorem=False,
-                reason="character lattice is stably permutation by explicit witness",
-                evidence={
-                    "padding": list(spw.witness.padding_labels),
-                    "target": list(spw.witness.target_labels),
-                    "sequence_total_rank": ext.total.rank,
-                },
-            )
     res = flabby_resolution(m)
     e = res.flabby_part
-    if e.rank <= CLASSIFY_RANK_CAP or _witness_seeds(e) or e.is_permutation:
-        spw = stably_permutation(e, budget)
-        if spw:
-            return _flabby_part_verdict(res, spw.witness)
+
+    # a flabby M that is itself stably permutation gives the two-permutation
+    # exact sequence directly
+    def m_route():
+        if (m.rank <= CLASSIFY_RANK_CAP or _witness_seeds(m)) and is_flabby(m).ok:
+            spw = stably_permutation(m, quick, check=False)
+            if spw:
+                ext = _stably_permutation_evidence(m, spw.witness)
+                return Verdict(
+                    status="StablyRational",
+                    by_theorem=False,
+                    reason="character lattice is stably permutation by explicit witness",
+                    evidence={
+                        "padding": list(spw.witness.padding_labels),
+                        "target": list(spw.witness.target_labels),
+                        "sequence_total_rank": ext.total.rank,
+                    },
+                )
+        return None
+
+    def e_route():
+        if e.rank <= CLASSIFY_RANK_CAP or _witness_seeds(e) or e.is_permutation:
+            spw = stably_permutation(e, budget, check=False)
+            if spw:
+                return _flabby_part_verdict(res, spw.witness)
+        return None
+
+    # both routes prove the same thing: over D_p a flabby M is invertible and
+    # Ext^1(E, M) = 0, so M + E = Q; the smaller lattice is searched first
+    for route in (m_route, e_route) if m.rank <= e.rank else (e_route, m_route):
+        verdict = route()
+        if verdict is not None:
+            return verdict
     h_plus = table.h_plus(p)
     if h_plus == 1:
         return Verdict(
@@ -705,13 +695,12 @@ def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget, quick: Bu
 
 
 def _classify_cyclic(m: GLattice, table: ClassTable, quick: Budget, annotations: dict) -> Verdict:
-    # the flabby part's class is inverse to cl(M), so the obstruction runs on
-    # cl(M) directly; building the (large) resolution buys nothing here
     p = m.group.n
-    # explicit witness attempt for small inputs, mirroring the dihedral branch
-    if m.rank <= CLASSIFY_RANK_CAP:
-        res = flabby_resolution(m)
-        spw = stably_permutation(res.flabby_part, quick)
+    # explicit witness attempt when the flabby part is small, as over D_p;
+    # otherwise the obstruction runs on cl(M), the inverse of the flabby class
+    res = flabby_resolution(m)
+    if res.flabby_part.rank <= CLASSIFY_RANK_CAP:
+        spw = stably_permutation(res.flabby_part, quick, check=False)
         if spw:
             return _flabby_part_verdict(res, spw.witness)
     asserted = annotations.get("non_principal_ideal")

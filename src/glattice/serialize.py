@@ -155,9 +155,8 @@ def class_table_from_json(data) -> ClassTable:
     for i, row in enumerate(data):
         what = f"class table row {i}"
         _object(row, what, "p", "h_plus")
-        entries.append(
-            (_int(row, "p", what), row.get("h"), _int(row, "h_plus", what), row.get("source", ""))
-        )
+        h = None if row.get("h") is None else _int(row, "h", what)
+        entries.append((_int(row, "p", what), h, _int(row, "h_plus", what), row.get("source", "")))
     return ClassTable(entries=tuple(entries))
 
 

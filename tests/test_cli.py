@@ -9,7 +9,7 @@ from glattice import serialize
 from glattice.catalog import build
 from glattice.groups import cyclic, dihedral
 from glattice.exactla import AbelianInvariants, IntMatrix
-from glattice.lattices import sign_lattice
+from glattice.lattices import direct_sum, sign_lattice
 from glattice.cyclotomic import factor_cyclotomic_mod, ideal_cyclic_lattice, prime_ideal_above, unit_ideal
 
 
@@ -211,6 +211,9 @@ def test_malformed_class_table_exits_3(tmp_path, capsys):
         ({"p": 5, "h": 1, "h_plus": 1}, "class table must be a JSON list"),
         ([{"p": 5, "h": 1}], "class table row 0 lacks the field 'h_plus'"),
         ([{"p": 5, "h": 1, "h_plus": 1.5}], "class table row 0 field 'h_plus' must be an integer"),
+        ([{"p": 5, "h": True, "h_plus": 1}], "class table row 0 field 'h' must be an integer"),
+        ([{"p": 5, "h": 1.5, "h_plus": 1}], "class table row 0 field 'h' must be an integer"),
+        ([{"p": 5, "h": "1", "h_plus": 1}], "class table row 0 field 'h' must be an integer"),
     ):
         table_path.write_text(json.dumps(doc))
         for args in (["classify", "--in", lat_path], ["table", "--p", 5]):
@@ -258,7 +261,12 @@ def test_custom_class_table_flag(tmp_path):
     lat_path = tmp_path / "x5.json"
     lat_path.write_text(json.dumps(serialize.lattice_to_json(build("X", 5))))
     assert run(["classify", "--in", lat_path, "--table", table_path, "--budget-draws", 200]) == 0
-    # a table claiming h_5^+ unknown forces the retract floor
+    # a table claiming h_5^+ unknown: X@5 has an explicit witness all the same
     table_path.write_text(json.dumps([{"p": 5, "h": None, "h_plus": 2, "source": "test"}]))
-    code = run(["classify", "--in", lat_path, "--table", table_path, "--budget-draws", 200])
+    assert run(["classify", "--in", lat_path, "--table", table_path, "--budget-draws", 200]) == 0
+    # Y1 + X@5 is searched nowhere (input and flabby part of rank 11, above the
+    # cap), so the table decides and forces the retract floor
+    sum_path = tmp_path / "y1x5.json"
+    sum_path.write_text(json.dumps(serialize.lattice_to_json(direct_sum(build("Y1", 5), build("X", 5)))))
+    code = run(["classify", "--in", sum_path, "--table", table_path, "--budget-draws", 200])
     assert code == 1  # RetractRationalOnly

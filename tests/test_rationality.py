@@ -5,13 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glattice.exactla import IntMatrix, det, inverse_unimodular
-from glattice.groups import class_by_label, cyclic, dihedral
+from glattice.exactla import IntMatrix, det, inverse_unimodular, row_space_hnf
+from glattice.groups import class_by_label, cyclic, dihedral, subgroup_classes
 from glattice.lattices import (
     GLattice,
     anisotropic_sublattice,
     direct_sum,
     dual,
+    fixed_sublattice,
     perm_lattice,
     regular_lattice,
     restrict,
@@ -33,6 +34,7 @@ from glattice.rationality import (
     permutation_decomposition,
     stably_permutation,
 )
+from cover_oracle import oracle_flabby_rank
 from iso_oracle import combine, iso_oracle
 
 FAST = Budget(box_radius=2, draws=2000, padding_rank_factor=2, sp_attempts=40)
@@ -249,10 +251,10 @@ def test_extra_variable_count():
     assert extra_variable_count(DM(0, 0, 1, 1), 1, 3) == -1
 
 
-def test_flabby_resolution_stress_random_inputs():
-    # duals, norm kernels, and mixed sums all must resolve with verified
-    # exactness and a flabby cokernel
+def _stress_inputs():
+    """Seeded duals, norm kernels and mixed sums of census lattices at p = 3, 5."""
     rng = random.Random(99)
+    out = []
     for p in (3, 5):
         pool = [build(nm, p) for nm in LEE_NAMES]
         for _ in range(8):
@@ -263,13 +265,75 @@ def test_flabby_resolution_stress_random_inputs():
                 lat = dual(lat)
             elif choice < 0.6:
                 lat = anisotropic_sublattice(lat).sub
-            if lat.rank == 0:
-                continue
-            res = flabby_resolution(lat)
-            res.seq.check()
-            assert is_flabby(res.flabby_part).ok
-            assert res.perm.is_permutation
-            assert dual(res.perm) == res.perm
+            if lat.rank:
+                out.append(lat)
+    return out
+
+
+def test_flabby_resolution_stress_random_inputs():
+    # duals, norm kernels, and mixed sums all must resolve with verified
+    # exactness and a flabby cokernel
+    for lat in _stress_inputs():
+        res = flabby_resolution(lat)
+        res.seq.check()
+        assert is_flabby(res.flabby_part).ok
+        assert res.perm.is_permutation
+        assert dual(res.perm) == res.perm
+
+
+def _covers(res, keep) -> bool:
+    """Whether the summands numbered in `keep` map Q'^S onto (M*)^S for
+    every class S, read from the resolution's own inclusion M -> Q, whose
+    row j is the image in M* of the j-th basis vector of Q."""
+    m = res.lattice
+    g = m.group
+    mdual = dual(m)
+    by_label = {c.label: c for c in subgroup_classes(g)}
+    parts = [perm_lattice(g, by_label[label]) for label in res.summands]
+    starts = [0]
+    for part in parts:
+        starts.append(starts[-1] + part.rank)
+    rows = res.seq.inclusion.matrix.data
+    for cls in subgroup_classes(g):
+        target = row_space_hnf(fixed_sublattice(mdual, cls))
+        if target.rows == 0:
+            continue
+        images = []
+        for i in keep:
+            block = IntMatrix(rows[starts[i] : starts[i + 1]], cols=m.rank)
+            images.extend(block.vecmat(r) for r in fixed_sublattice(parts[i], cls).data)
+        if not images or row_space_hnf(IntMatrix(images, cols=m.rank)) != target:
+            return False
+    return True
+
+
+def test_flabby_resolution_is_exact_flabby_and_minimal():
+    """Every cover is onto on each (M*)^S and loses that when any one summand
+    is dropped; its flabby part is never larger than the all-at-once one."""
+    lats = [build(name, p) for p in (3, 5, 7) for name in LEE_NAMES] + _stress_inputs()
+    lats += [restrict(build(name, p), class_by_label(dihedral(p), f"C_{p}"))
+             for p in (3, 5) for name in LEE_NAMES]
+    for lat in lats:
+        res = flabby_resolution(lat)
+        res.seq.check()
+        assert is_flabby(res.flabby_part).ok
+        by_label = {c.label: c for c in subgroup_classes(lat.group)}
+        assert res.perm == direct_sum(*(perm_lattice(lat.group, by_label[x]) for x in res.summands))
+        everything = range(len(res.summands))
+        assert _covers(res, everything), lat
+        for i in everything:
+            assert not _covers(res, [j for j in everything if j != i]), (lat, res.summands, i)
+        assert res.flabby_part.rank <= oracle_flabby_rank(lat), (lat, res.summands)
+
+
+@pytest.mark.parametrize("name,p", [("R", 5), ("P", 5), ("R", 7), ("P", 7)])
+def test_classify_restricted_census_explicitly(name, p):
+    # these spent minutes in failed searches on a rank-16 to rank-36 flabby
+    # part before falling back to the theorem; Z[C_p] alone covers them now
+    lat = restrict(build(name, p), class_by_label(dihedral(p), f"C_{p}"))
+    v = classify(lat, budget=FAST)
+    assert v.status == "StablyRational" and not v.by_theorem, v
+    assert v.evidence["resolution_summands"] == ["1"]
 
 
 def test_flabby_class_additivity_fingerprints():
