@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import one_cocycles
+from .cohomology import _fox_system
 from .cyclotomic import conj_matrix, elem_mul, eta_power_rows, is_prime, mult_matrix, reduce_poly
 from .exactla import (
     IntMatrix,
@@ -23,7 +23,7 @@ from .exactla import (
     row_space_hnf,
     solve_with_hnf,
 )
-from .groups import GroupElement, class_by_label, dihedral, full_class
+from .groups import class_by_label, dihedral, full_class
 from .lattices import (
     GLattice,
     LatticeError,
@@ -464,52 +464,48 @@ def _ideal_row_lattice(p: int, ideal, extra_factor=None) -> "GLattice":
     return GLattice(dihedral(p), sig.transpose(), conj.transpose())
 
 
-def _noncoboundary_cocycle(bottom: GLattice, top: GLattice):
-    """A 1-cocycle G -> Hom(top, bottom) whose class is nonzero."""
-    hom = hom_lattice(top, bottom)
-    space = one_cocycles(hom, full_class(bottom.group))
-    # a cocycle is fixed by its values on the generators: test only those
-    cols = [
-        space.elements.index(a) * space.rank + k
-        for a in space.generators
-        for k in range(space.rank)
-    ]
-    boundaries = hnf(
-        IntMatrix.from_rows([[v[c] for c in cols] for v in space.coboundaries], cols=len(cols))
-    )
-    for row in space.cocycles.data:
-        if solve_with_hnf(boundaries, [row[c] for c in cols]) is None:
-            return space, row
+def _noncoboundary_cocycle(bottom: GLattice, top: GLattice) -> tuple:
+    """A 1-cocycle G -> Hom(top, bottom) whose class is nonzero, as its values
+    (f(sigma), f(tau)) on the generators (f(sigma) alone over C_n).
+
+    A cocycle is fixed by those values, so the first Z^1 row of `h1`'s Fox
+    system outside the span of the B^1 generators (one HNF) is the answer.
+    """
+    cocycles, boundaries = _fox_system(hom_lattice(top, bottom), full_class(bottom.group))
+    span = hnf(IntMatrix.from_rows(boundaries, cols=cocycles.cols))
+    for row in cocycles.data:
+        if solve_with_hnf(span, row) is None:
+            return row
     raise LatticeError("every cocycle is a coboundary; extension would split")
 
 
 def _nonsplit_extension(bottoms: list, top: GLattice) -> GLattice:
-    """0 -> (+)bottoms -> E -> top -> 0, class nonzero in every component."""
+    """0 -> (+)bottoms -> E -> top -> 0, class nonzero in every component.
+
+    Each component's cocycle phi comes as (phi(sigma), phi(tau)) from
+    `_noncoboundary_cocycle`; block k of it, read row by row as a
+    bottom.rank x top.rank matrix, is phi at generator k, and E acts by
+    [[rho_bottom, phi * rho_top], [0, rho_top]].
+    """
     g = top.group
     rt = top.rank
-    pieces = []  # (bottom, phi_prime lookup)
+    pieces = []  # (bottom, [phi(sigma), phi(tau)])
     for bottom in bottoms:
-        space, chosen = _noncoboundary_cocycle(bottom, top)
-        index = {a: i for i, a in enumerate(space.elements)}
+        chosen = _noncoboundary_cocycle(bottom, top)
+        rows = [chosen[k : k + rt] for k in range(0, len(chosen), rt)]
         rb = bottom.rank
+        pieces.append(
+            (bottom, [IntMatrix(rows[k : k + rb], cols=rt) for k in range(0, len(rows), rb)])
+        )
 
-        def phi_prime(el, chosen=chosen, index=index, rb=rb):
-            base = index[el] * rb * rt
-            return IntMatrix(
-                [[chosen[base + i * rt + j] for j in range(rt)] for i in range(rb)],
-                cols=rt,
-            )
-
-        pieces.append((bottom, phi_prime))
-
-    def assemble(el, rho_name):
+    def assemble(k, rho_name):
         rho_t = getattr(top, rho_name)
         total_rb = sum(b.rank for b, _ in pieces)
         rows = []
         offset = 0
-        for bottom, phi_prime in pieces:
+        for bottom, phis in pieces:
             rho_b = getattr(bottom, rho_name)
-            phi = phi_prime(el) * rho_t
+            phi = phis[k] * rho_t
             for i in range(bottom.rank):
                 row = [0] * total_rb
                 for j in range(bottom.rank):
@@ -520,10 +516,10 @@ def _nonsplit_extension(bottoms: list, top: GLattice) -> GLattice:
             rows.append([0] * total_rb + list(rho_t.data[i]))
         return IntMatrix(rows, cols=total_rb + rt)
 
-    sigma = assemble(GroupElement(1 % g.n, 0), "sigma")
+    sigma = assemble(0, "sigma")
     if not g.is_dihedral:
         return GLattice(g, sigma)
-    tau = assemble(GroupElement(0, 1), "tau")
+    tau = assemble(1, "tau")
     return GLattice(g, sigma, tau)
 
 

@@ -2,15 +2,19 @@
 
 H^-1 and H^0 come straight from norm kernels and fixed sublattices.  H^1
 comes from a presentation of the subgroup S.  A 1-cocycle f is fixed by
-a = f(s) and b = f(t), and by Fox's free differential calculus (Fox, Ann. of
-Math. 57, 1953; Brown, Cohomology of Groups, GTM 87) each relator of
-<s, t | s^d, t^2, (ts)^2> gives one equation:
+a = f(s) and b = f(t) (f(xy) = f(x) + x.f(y)), and by Fox's free differential
+calculus (Fox, Ann. of Math. 57, 1953; Brown, Cohomology of Groups, GTM 87)
+each relator of <s, t | s^d, t^2, (ts)^2> gives one equation:
 
     N_s a = 0,    (1 + t) b = 0,    (1 + ts)(b + t a) = 0,
 
 3 * rank equations in 2 * rank unknowns.  The coboundaries are
 ((s - 1)m, (t - 1)m).  A cyclic S = <s | s^d> keeps only the first equation,
 so H^1 = ker N_s / im(s - 1).
+
+Cocycles are handled in these (f(s), f(t)) coordinates throughout; only
+`one_cocycles` extends them to every element of S, for callers that need f
+everywhere.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from .groups import GroupElement, SubgroupClass, mul, subgroup_classes
 from .lattices import (
     GLattice,
     LatticeError,
+    _matrix_sum,
     fixed_sublattice,
     hom_lattice,
     presentation_generators,
-    restrict,
 )
 
 _ZERO = AbelianInvariants((), 0)
@@ -73,60 +77,51 @@ def tate_hminus1(
 
 
 def tate_h0(
-    m: GLattice, s: SubgroupClass, norm: IntMatrix | None = None
+    m: GLattice,
+    s: SubgroupClass,
+    norm: IntMatrix | None = None,
+    fixed: IntMatrix | None = None,
 ) -> AbelianInvariants:
-    """M^S / N_S.M with N_S the subgroup norm (`m.norm_matrix(s)` unless given)."""
-    fixed = fixed_sublattice(m, s)
+    """M^S / N_S.M with N_S the subgroup norm (`m.norm_matrix(s)` unless given)
+    and M^S the fixed sublattice (`fixed_sublattice(m, s)` unless given)."""
+    if fixed is None:
+        fixed = fixed_sublattice(m, s)
     if norm is None:
         norm = m.norm_matrix(s)
     gens = list(norm.transpose().data)
     return _invariants_of_submodule(fixed, gens)
 
 
-def _sparse(mat: IntMatrix) -> list:
-    """The nonzero (column, entry) pairs of each row."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in mat.data]
-
-
-def _act(sparse_rows: list, v: list) -> list:
-    return [sum(x * v[j] for j, x in row) for row in sparse_rows]
-
-
-def _add(u: list, v: list) -> list:
+def _add(u, v) -> list:
     return [x + y for x, y in zip(u, v)]
 
 
 def _fox_system(m: GLattice, s: SubgroupClass):
     """Z^1 and the generators of B^1 in (f(s), f(t)) coordinates.
 
-    Row j of the equation matrix holds what unknown j contributes to each
-    Fox-derivative equation (N_s, 1 + t and (1 + ts)(b + ta)), so Z^1 is its
-    left kernel.
+    The equation matrix stacks the transposes of the Fox-derivative maps,
+
+        [[N_s^T, 0,          (t + tst)^T],
+         [0,     (1 + t)^T,  (1 + ts)^T ]],
+
+    so row j holds what unknown j contributes to each equation and Z^1 is its
+    left kernel; B^1 is spanned by the rows of [(s - 1)^T, (t - 1)^T].
     """
-    lat = restrict(m, s)
-    sig = _sparse(lat.sigma)
-    tau = None if lat.tau is None else _sparse(lat.tau)
-    r = m.rank
-    zero = [0] * r
-    rows_a, rows_b, boundaries = [], [], []
-    for j in range(r):
-        e = [0] * r
-        e[j] = 1
-        norm, v = zero, e
-        for _ in range(lat.group.n):
-            norm, v = _add(norm, v), _act(sig, v)
-        s_e = _act(sig, e)
-        s_minus_1 = [x - y for x, y in zip(s_e, e)]
-        if tau is None:
-            rows_a.append(norm)
-            boundaries.append(s_minus_1)
-            continue
-        t_e = _act(tau, e)
-        rows_a.append(norm + zero + _add(t_e, _act(tau, _act(sig, t_e))))
-        rows_b.append(zero + _add(e, t_e) + _add(e, _act(tau, s_e)))
-        boundaries.append(s_minus_1 + [x - y for x, y in zip(t_e, e)])
-    equations = IntMatrix.from_rows(rows_a + rows_b, cols=r if tau is None else 3 * r)
-    return kernel_basis(equations), boundaries
+    gen, refl = presentation_generators(s)
+    ident = IntMatrix.identity(m.rank)
+    s_t = m.rho(gen).transpose()
+    # <s> is all of S when S is cyclic, its rotations otherwise
+    powers = [m.rho(a) for a in s.representative if refl is None or not a.flip]
+    norm_t = _matrix_sum(powers).transpose()
+    if refl is None:
+        return kernel_basis(norm_t), list((s_t - ident).data)
+    t_t = m.rho(refl).transpose()
+    c_t = ident + s_t * t_t  # (1 + ts)^T; (t + tst)^T = t^T (1 + ts)^T
+    zero = (0,) * m.rank
+    rows = [n + zero + a for n, a in zip(norm_t.data, (t_t * c_t).data)]
+    rows += [zero + b + c for b, c in zip((ident + t_t).data, c_t.data)]
+    boundaries = [u + v for u, v in zip((s_t - ident).data, (t_t - ident).data)]
+    return kernel_basis(IntMatrix(rows, cols=3 * m.rank)), boundaries
 
 
 def h1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
@@ -148,20 +143,22 @@ class CocycleSpace:
 def one_cocycles(m: GLattice, s: SubgroupClass) -> CocycleSpace:
     """Z^1 and B^1 as functions on every element of S.
 
-    Each solution (a, b) = (f(s), f(t)) of `h1`'s system is extended by the
+    Only for callers that need f everywhere: a cocycle is fixed by
+    (f(s), f(t)), the coordinates `h1` and `catalog._noncoboundary_cocycle`
+    work in.  Each solution (a, b) of `h1`'s system is extended by the
     cocycle rule f(xy) = f(x) + x.f(y): f(s^k) = (1 + s + ... + s^(k-1)) a
     and f(s^k t) = f(s^k) + s^k b.
     """
     cocycles, boundaries = _fox_system(m, s)
     gen, refl = presentation_generators(s)
-    sig = _sparse(m.rho(gen))
+    sig = m.rho(gen)
     els = s.representative
     index = {a: i for i, a in enumerate(els)}
     r = m.rank
     rotations = s.order if refl is None else s.order // 2
 
     def extend(row) -> tuple:
-        a, b = list(row[:r]), list(row[r:])
+        a, b = row[:r], row[r:]
         out = [0] * (len(els) * r)
         f, x = [0] * r, GroupElement(0, 0)
         for _ in range(rotations):  # x = s^k, f = f(s^k), a = s^k.f(s), b = s^k.f(t)
@@ -169,8 +166,8 @@ def one_cocycles(m: GLattice, s: SubgroupClass) -> CocycleSpace:
             if refl is not None:
                 xt = index[mul(m.group, x, refl)] * r
                 out[xt : xt + r] = _add(f, b)
-                b = _act(sig, b)
-            f, a, x = _add(f, a), _act(sig, a), mul(m.group, x, gen)
+                b = sig.matvec(b)
+            f, a, x = _add(f, a), sig.matvec(a), mul(m.group, x, gen)
         return tuple(out)
 
     return CocycleSpace(

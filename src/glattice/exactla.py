@@ -494,13 +494,11 @@ def solve_with_hnf(res: HNFResult, target) -> tuple | None:
         c = t[j] // row[j]
         w[i] = c
         if c:
-            for k in range(n_cols):
+            for k in range(j, n_cols):
                 t[k] -= c * row[k]
     if any(t):
         return None
-    return tuple(
-        sum(w[i] * u.data[i][k] for i in range(n_rows) if w[i]) for k in range(n_rows)
-    )
+    return u.vecmat(w)
 
 
 def solve_left(basis: IntMatrix, target: Sequence[int]) -> tuple | None:

@@ -146,12 +146,13 @@ def all_subgroups(g: GroupSpec) -> list[frozenset]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def subgroup_classes(g: GroupSpec) -> list[SubgroupClass]:
+@lru_cache(maxsize=None)
+def subgroup_classes(g: GroupSpec) -> tuple[SubgroupClass, ...]:
     """One representative per conjugacy class, trivial subgroup first.
 
     Cyclic groups get one class per divisor.  Odd dihedral groups follow
     the closed form {C_d : d | n} + {D_d : d | n}; even dihedral falls
-    back to exhaustive enumeration.
+    back to exhaustive enumeration.  Memoized, so the result is a tuple.
     """
     if g.kind == CYCLIC:
         out = []
@@ -159,7 +160,7 @@ def subgroup_classes(g: GroupSpec) -> list[SubgroupClass]:
             label = "1" if d == 1 else f"C_{d}"
             gens = [] if d == 1 else [GroupElement(g.n // d, 0)]
             out.append(_subgroup_from(g, label, gens, 1))
-        return out
+        return tuple(out)
     if g.n % 2 == 1:
         out = [_subgroup_from(g, "1", [], 1)]
         for d in _divisors(g.n):
@@ -173,8 +174,8 @@ def subgroup_classes(g: GroupSpec) -> list[SubgroupClass]:
                 gens = [GroupElement(g.n // d, 0), GroupElement(0, 1)]
             out.append(_subgroup_from(g, f"D_{d}", gens, g.n // d))
         out.sort(key=lambda c: (c.order, c.label))
-        return out
-    return _subgroup_classes_exhaustive(g)
+        return tuple(out)
+    return tuple(_subgroup_classes_exhaustive(g))
 
 
 def _subgroup_classes_exhaustive(g: GroupSpec) -> list[SubgroupClass]:

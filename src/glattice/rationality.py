@@ -95,12 +95,12 @@ def fingerprint(m: GLattice, with_h1: bool = True) -> Fingerprint:
         return cached
     entries = []
     for cls in subgroup_classes(m.group):
-        fixed = fixed_sublattice(m, cls).rows
+        fixed = fixed_sublattice(m, cls)
         norm = m.norm_matrix(cls)
         hm1 = tate_hminus1(m, cls, norm)
-        h0 = tate_h0(m, cls, norm)
+        h0 = tate_h0(m, cls, norm, fixed)
         h1v = h1(m, cls) if with_h1 else None
-        entries.append((cls.label, fixed, hm1, h0, h1v))
+        entries.append((cls.label, fixed.rows, hm1, h0, h1v))
     fp = Fingerprint(rank=m.rank, entries=tuple(entries))
     _fingerprint_cache[key] = fp
     return fp

@@ -7,6 +7,7 @@ import pytest
 from glattice.exactla import (
     AbelianInvariants,
     IntMatrix,
+    inverse_unimodular,
     right_kernel_basis,
     row_space_hnf,
     solve_left,
@@ -24,8 +25,9 @@ from glattice.groups import (
     subgroup_from_elements,
     trivial_class,
 )
-from glattice.catalog import LEE_NAMES, _noncoboundary_cocycle, build
+from glattice.catalog import LEE_NAMES, _noncoboundary_cocycle, _nonsplit_extension, build
 from glattice.cohomology import (
+    _fox_system,
     _invariants_of_submodule,
     cohomology_table,
     ext1,
@@ -37,8 +39,10 @@ from glattice.cohomology import (
     tate_hminus1,
 )
 from glattice.lattices import (
+    GLattice,
     LatticeError,
     direct_sum,
+    dual,
     hom_lattice,
     induce,
     perm_lattice,
@@ -48,6 +52,7 @@ from glattice.lattices import (
     sign_lattice,
     trivial_lattice,
 )
+from cocycle_oracle import oracle_fox_system, oracle_nonsplit_extension
 from pairwise_h1 import pairwise_cocycles, pairwise_h1
 
 Z2 = AbelianInvariants((2,), 0)
@@ -228,9 +233,68 @@ def test_noncoboundary_cocycle_on_split_and_nonsplit_pairs():
     g = dihedral(3)
     with pytest.raises(LatticeError, match="every cocycle is a coboundary"):
         _noncoboundary_cocycle(build("ZH", 3), trivial_lattice(g))
-    space, row = _noncoboundary_cocycle(build("P", 3), trivial_lattice(g))
-    assert row in space.cocycles.data
-    assert solve_left(IntMatrix(list(space.coboundaries)), row) is None
+    row = _noncoboundary_cocycle(build("P", 3), trivial_lattice(g))
+    hom = hom_lattice(trivial_lattice(g), build("P", 3))
+    cocycles, boundaries = _fox_system(hom, full_class(g))
+    assert row in cocycles.data
+    assert solve_left(IntMatrix(boundaries), row) is None
+
+
+def test_fox_system_equals_the_per_vector_build():
+    """Whole-matrix products give the Z^1 basis and B^1 generators of the
+    per-basis-vector equation build, row for row."""
+    cases = []
+    for p in (3, 5, 7):
+        for name in LEE_NAMES:
+            lat = build(name, p)
+            cases += [(lat, s) for s in subgroup_classes(lat.group)]
+            csig = restrict(lat, class_by_label(lat.group, f"C_{p}"))
+            cases += [(csig, s) for s in subgroup_classes(csig.group)]
+    for top, bottom in _seeded_hom_pairs(10):
+        hom = hom_lattice(top, bottom)
+        cases += [(hom, s) for s in subgroup_classes(hom.group)]
+    g = dihedral(9)
+    lat = direct_sum(induce(g, -1), sign_lattice(g), n_plus(9))
+    subgroups = {
+        tuple(conjugate_subgroup(g, s, x)) for s in subgroup_classes(g) for x in elements(g)
+    }
+    cases += [(lat, subgroup_from_elements(g, members)) for members in sorted(subgroups)]
+    assert len(cases) == 236  # 120 census, 60 over C_p, 40 Hom, 16 subgroups of D_9
+    for lat, s in cases:
+        cocycles, boundaries = _fox_system(lat, s)
+        want_cocycles, want_boundaries = oracle_fox_system(lat, s)
+        assert cocycles == want_cocycles, (lat, s.label)
+        assert [tuple(v) for v in boundaries] == [tuple(v) for v in want_boundaries]
+
+
+def _extension_cases():
+    """Every ordered census pair at p = 3, a seeded draw at p = 5, and
+    R -> W -> Z over C_p."""
+    cases = []
+    census3 = [build(name, 3) for name in LEE_NAMES]
+    cases += [(bottom, top) for bottom in census3 for top in census3]
+    census5 = [build(name, 5) for name in LEE_NAMES]
+    pairs5 = [(bottom, top) for bottom in census5 for top in census5]
+    cases += random.Random(7).sample(pairs5, 40)
+    for p in (3, 5, 7):
+        r = restrict(build("Nplus", p), class_by_label(dihedral(p), f"C_{p}"))
+        cases.append((r, trivial_lattice(cyclic(p))))
+    return cases
+
+
+def test_nonsplit_extension_matches_the_all_elements_oracle():
+    built = 0
+    for bottom, top in _extension_cases():
+        try:
+            want = oracle_nonsplit_extension(bottom, top)
+        except LatticeError:
+            with pytest.raises(LatticeError, match="every cocycle is a coboundary"):
+                _nonsplit_extension([bottom], top)
+            continue
+        got = _nonsplit_extension([bottom], top)
+        assert got.sigma == want.sigma and got.tau == want.tau, (bottom, top)
+        built += 1
+    assert built == 25  # 20 at p = 3, 2 of the p = 5 draw, 3 over C_p
 
 
 def test_cohomology_is_conjugation_invariant():
@@ -249,17 +313,18 @@ def test_additivity_on_sums():
     rng = random.Random(9)
     g = dihedral(5)
     pieces = [sign_lattice(g), n_plus(5), n_minus(5), induce(g, 1), trivial_lattice(g)]
-    for _ in range(5):
-        a, b = rng.sample(pieces, 2)
+    pairs = [rng.sample(pieces, 2) for _ in range(5)] + list(_seeded_summands())
+    assert len(pairs) == 29
+    for a, b in pairs:
         ab = direct_sum(a, b)
-        for s in subgroup_classes(g):
+        for s in subgroup_classes(ab.group):
             for fn in (tate_hminus1, tate_h0, h1):
                 ia, ib, iab = fn(a, s), fn(b, s), fn(ab, s)
                 merged = sorted(list(ia.torsion) + list(ib.torsion))
                 # compare as multisets of prime powers
                 assert sorted(_primary(iab.torsion)) == sorted(
                     _primary(tuple(merged))
-                )
+                ), (fn.__name__, s.label)
                 assert iab.free_rank == ia.free_rank + ib.free_rank
 
 
@@ -276,6 +341,43 @@ def _primary(torsion):
                 out.append(power)
             k += 1
     return out
+
+
+# --- properties over C_p and D_p ----------------------------------------------
+
+
+def _rebased(lat, rng):
+    """lat in a seeded basis: u.sigma.u^-1 and u.tau.u^-1, u a product of
+    elementary row moves."""
+    n = lat.rank
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.choice((-1, 1))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    u = IntMatrix(rows, cols=n)
+    u_inv = inverse_unimodular(u)
+    tau = None if lat.tau is None else u * lat.tau * u_inv
+    return GLattice(lat.group, u * lat.sigma * u_inv, tau)
+
+
+def _seeded_summands():
+    """Pairs of census lattices over D_p and over C_p, p = 3, 5, 7, each in a
+    seeded basis."""
+    rng = random.Random(17)
+    for p in (3, 5, 7):
+        census = [build(name, p) for name in LEE_NAMES]
+        csig = class_by_label(dihedral(p), f"C_{p}")
+        for pool in (census, [restrict(lat, csig) for lat in census]):
+            for _ in range(4):
+                yield [_rebased(lat, rng) for lat in rng.sample(pool, 2)]
+
+
+def test_dual_is_an_involution():
+    for a, b in _seeded_summands():
+        for lat in (a, b, direct_sum(a, b)):
+            assert dual(dual(lat)) == lat
 
 
 def test_ext1_values():

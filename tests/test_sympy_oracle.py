@@ -1,11 +1,11 @@
-"""`snf` and `det` against sympy, an independent exact implementation."""
+"""`snf`, `hnf` and `det` against sympy, an independent exact implementation."""
 
 import random
 
 from sympy import ZZ, Matrix
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
-from glattice.exactla import IntMatrix, det, snf
+from glattice.exactla import IntMatrix, det, hnf, snf
 
 
 def _matrices(seed: int, square: bool):
@@ -32,3 +32,18 @@ def test_snf_diagonal_matches_sympy_invariant_factors():
 def test_det_matches_sympy():
     for m in _matrices(43, square=True):
         assert det(m) == int(Matrix(m.tolists()).det(method="berkowitz")), m
+
+
+def test_hnf_against_sympy_hermite_normal_form():
+    """u * m = h with u unimodular, and h spans the row lattice of m.
+
+    sympy's `hermite_normal_form` is the canonical HNF of a column module, so
+    two matrices have one row lattice exactly when it maps their transposes
+    to the same matrix.
+    """
+    for m in _matrices(47, square=False):
+        res = hnf(m)
+        assert res.u * m == res.h, m
+        assert Matrix(res.u.tolists()).det() in (1, -1), m
+        theirs = hermite_normal_form(Matrix(m.tolists()).T)
+        assert hermite_normal_form(Matrix(res.h.tolists()).T) == theirs, m
