@@ -419,10 +419,9 @@ def verify_witness(w: WitnessRecord) -> WitnessCheck:
     wi = w.intertwiner
     if not is_unimodular(wi):
         failures.append("intertwiner is not unimodular")
-    if w.rhs.sigma * wi != wi * w.lhs.sigma:
-        failures.append("sigma relation fails: rhs.sigma * W != W * lhs.sigma")
-    if w.rhs.tau * wi != wi * w.lhs.tau:
-        failures.append("tau relation fails: rhs.tau * W != W * lhs.tau")
+    for name, lhs, rhs in zip(("sigma", "tau"), w.lhs.gens, w.rhs.gens):
+        if rhs * wi != wi * lhs:
+            failures.append(f"{name} relation fails: rhs.{name} * W != W * lhs.{name}")
     if w.embedding is not None:
         try:
             w.embedding.check()
@@ -487,7 +486,6 @@ def _nonsplit_extension(bottoms: list, top: GLattice) -> GLattice:
     bottom.rank x top.rank matrix, is phi at generator k, and E acts by
     [[rho_bottom, phi * rho_top], [0, rho_top]].
     """
-    g = top.group
     rt = top.rank
     pieces = []  # (bottom, [phi(sigma), phi(tau)])
     for bottom in bottoms:
@@ -498,13 +496,13 @@ def _nonsplit_extension(bottoms: list, top: GLattice) -> GLattice:
             (bottom, [IntMatrix(rows[k : k + rb], cols=rt) for k in range(0, len(rows), rb)])
         )
 
-    def assemble(k, rho_name):
-        rho_t = getattr(top, rho_name)
-        total_rb = sum(b.rank for b, _ in pieces)
+    total_rb = sum(b.rank for b, _ in pieces)
+
+    def assemble(k, rho_t):
         rows = []
         offset = 0
         for bottom, phis in pieces:
-            rho_b = getattr(bottom, rho_name)
+            rho_b = bottom.gens[k]
             phi = phis[k] * rho_t
             for i in range(bottom.rank):
                 row = [0] * total_rb
@@ -516,11 +514,7 @@ def _nonsplit_extension(bottoms: list, top: GLattice) -> GLattice:
             rows.append([0] * total_rb + list(rho_t.data[i]))
         return IntMatrix(rows, cols=total_rb + rt)
 
-    sigma = assemble(0, "sigma")
-    if not g.is_dihedral:
-        return GLattice(g, sigma)
-    tau = assemble(1, "tau")
-    return GLattice(g, sigma, tau)
+    return GLattice(top.group, *(assemble(k, rho) for k, rho in enumerate(top.gens)))
 
 
 def twisted_lattice(base: str, ideal) -> GLattice:

@@ -29,7 +29,7 @@ from .exactla import (
     kernel_basis,
     right_kernel_basis,
 )
-from .groups import GroupElement, SubgroupClass, mul, subgroup_classes
+from .groups import GroupElement, SubgroupClass, full_class, mul, subgroup_classes
 from .lattices import (
     GLattice,
     LatticeError,
@@ -183,9 +183,7 @@ def ext1(a: GLattice, b: GLattice) -> AbelianInvariants:
     """Ext^1_{Z[G]}(a, b) = H^1(G, Hom_Z(a, b))."""
     if a.group != b.group:
         raise LatticeError("ext needs lattices over one group")
-    hom = hom_lattice(a, b)
-    full = subgroup_classes(a.group)[-1]
-    return h1(hom, full)
+    return h1(hom_lattice(a, b), full_class(a.group))
 
 
 @dataclass(frozen=True)

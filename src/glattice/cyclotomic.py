@@ -17,7 +17,6 @@ from .exactla import (
     express_rows,
     kernel_basis,
     row_space_hnf,
-    solve_left,
 )
 from .groups import cyclic
 from .lattices import GLattice, LatticeError
@@ -112,20 +111,16 @@ def eta_power_rows(p: int) -> IntMatrix:
 
 def real_mult_eta_matrix(p: int) -> IntMatrix:
     """Multiplication by eta on the eta-power basis of the real subfield."""
-    half = (p - 1) // 2
     basis = eta_power_rows(p)
     vec = [0] * p
     vec[1] = 1
     vec[p - 1] = 1
     eta = tuple(reduce_poly(p, vec))
-    rows = []
-    for i in range(half):
-        target = elem_mul(p, tuple(basis.data[i]), eta)
-        coords = solve_left(basis, target)
-        if coords is None:
-            raise ValueError("eta power escaped the real subfield basis")
-        rows.append(list(coords))
-    return IntMatrix(rows, cols=half)
+    targets = [elem_mul(p, tuple(row), eta) for row in basis.data]
+    coords = express_rows(basis, IntMatrix.from_rows(targets, cols=p - 1))
+    if coords is None:
+        raise ValueError("eta power escaped the real subfield basis")
+    return coords
 
 
 # --- ideals ------------------------------------------------------------------
@@ -210,13 +205,14 @@ def ideal_mul(a: IdealHNF, b: IdealHNF) -> IdealHNF:
     rows = []
     if a.real_subfield:
         emb = eta_power_rows(p)
+        eb = [emb.vecmat(rb) for rb in b.basis.data]
         for ra in a.basis.data:
             ea = emb.vecmat(ra)
-            for rb in b.basis.data:
-                prod = elem_mul(p, ea, emb.vecmat(rb))
-                coords = solve_left(emb, prod)
-                rows.append(list(coords))
-        return ideal_from_rows(p, IntMatrix(rows, cols=a.degree), True)
+            rows.extend(elem_mul(p, ea, x) for x in eb)
+        coords = express_rows(emb, IntMatrix.from_rows(rows, cols=p - 1))
+        if coords is None:
+            raise ValueError("ideal product escaped the real subfield basis")
+        return ideal_from_rows(p, coords, True)
     for ra in a.basis.data:
         for rb in b.basis.data:
             rows.append(list(elem_mul(p, ra, rb)))
@@ -283,26 +279,14 @@ def _poly_mul_mod(a, b, f, ell):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % ell
-    return _poly_rem(out, f, ell)
+    return _poly_divmod(out, f, ell)[1]
 
-
-def _poly_rem(a, f, ell):
-    a = [x % ell for x in a]
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, ell)
-    for i in range(len(a) - 1, df - 1, -1):
-        c = (a[i] * inv_lead) % ell
-        if c:
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % ell
-    return _poly_trim(a[:df]) or [0]
 
 def _poly_gcd(a, b, ell):
     a = _poly_trim([x % ell for x in a]) or [0]
     b = _poly_trim([x % ell for x in b]) or [0]
     while b != [0]:
-        a, b = b, _poly_rem(a, b, ell)
-        b = _poly_trim(b) or [0]
+        a, b = b, _poly_divmod(a, b, ell)[1]
     # monic normalize
     if a != [0]:
         inv = pow(a[-1], -1, ell)
@@ -312,7 +296,7 @@ def _poly_gcd(a, b, ell):
 
 def _poly_powmod(base, e, f, ell):
     result = [1]
-    base = _poly_rem(base, f, ell)
+    base = _poly_divmod(base, f, ell)[1]
     while e:
         if e & 1:
             result = _poly_mul_mod(result, base, f, ell)
@@ -353,7 +337,9 @@ def factor_cyclotomic_mod(p: int, ell: int) -> list[list[int]]:
         out = []
         for _ in range(deg):
             rng_state[0] = (rng_state[0] * 1103515245 + 12345) % (2**31)
-            out.append(rng_state[0] % ell)
+            # the low bits of this generator have short periods (bit 0
+            # alternates), so the coefficient comes from bits 16 and up
+            out.append((rng_state[0] >> 16) % ell)
         return _poly_trim(out) or [0]
 
     result = []

@@ -1,9 +1,11 @@
 """G-lattices as exact integer matrix representations of C_n and D_n.
 
 A lattice is Z^rank with the group acting on column vectors through
-unimodular matrices for the generators.  Sublattices are always handed
-around as saturated row-basis matrices, so induced quotient actions stay
-integral.
+unimodular matrices for the generators.  `GLattice.gens` holds them in
+presentation order, (sigma,) over C_n and (sigma, tau) over D_n, so the
+constructors below treat both groups with one loop over `gens`.
+Sublattices are always handed around as saturated row-basis matrices, so
+induced quotient actions stay integral.
 """
 
 from __future__ import annotations
@@ -51,9 +53,14 @@ class NonStableSublattice(LatticeError):
 
 
 class GLattice:
-    """Integer representation of C_n or D_n on Z^rank."""
+    """Integer representation of C_n or D_n on Z^rank.
 
-    __slots__ = ("group", "rank", "sigma", "tau", "_pow_cache", "_hash")
+    `gens` holds the generator matrices in presentation order: (sigma,) over
+    C_n and (sigma, tau) over D_n.  Over C_n a tau argument is shape-checked
+    and then dropped, so `tau` is None.
+    """
+
+    __slots__ = ("group", "rank", "sigma", "tau", "gens", "_pow_cache", "_hash")
 
     def __init__(
         self,
@@ -65,6 +72,7 @@ class GLattice:
         self.group = group
         self.sigma = sigma
         self.tau = tau if group.is_dihedral else None
+        self.gens = (sigma,) if self.tau is None else (sigma, tau)
         self.rank = sigma.rows
         self._pow_cache = [IntMatrix.identity(self.rank), sigma]
         self._hash = None
@@ -82,11 +90,11 @@ class GLattice:
         ident = IntMatrix.identity(self.rank)
         if self.sigma.power(n) != ident:
             raise RelationError(f"sigma^{n} != identity")
-        if self.tau is not None:
-            if self.tau * self.tau != ident:
+        for tau in self.gens[1:]:
+            if tau * tau != ident:
                 raise RelationError("tau^2 != identity")
             # given tau^2 = 1, tau*sigma*tau = sigma^-1 says (tau*sigma)^2 = 1
-            ts = self.tau * self.sigma
+            ts = tau * self.sigma
             if ts * ts != ident:
                 raise RelationError("tau*sigma*tau != sigma^-1")
 
@@ -133,8 +141,7 @@ class GLattice:
     @property
     def is_permutation(self) -> bool:
         """Entrywise test: all generator matrices are permutation matrices."""
-        mats = [self.sigma] + ([self.tau] if self.tau is not None else [])
-        for m in mats:
+        for m in self.gens:
             for row in m.data:
                 if sum(row) != 1 or any(x not in (0, 1) for x in row):
                     return False
@@ -162,11 +169,9 @@ class LatticeMap:
             raise LatticeError("map between lattices over different groups")
         if (self.matrix.rows, self.matrix.cols) != (self.target.rank, self.source.rank):
             raise LatticeError("map matrix has wrong shape")
-        if self.matrix * self.source.sigma != self.target.sigma * self.matrix:
-            raise LatticeError("map does not intertwine sigma")
-        if self.source.tau is not None:
-            if self.matrix * self.source.tau != self.target.tau * self.matrix:
-                raise LatticeError("map does not intertwine tau")
+        for name, a, b in zip(("sigma", "tau"), self.source.gens, self.target.gens):
+            if self.matrix * a != b * self.matrix:
+                raise LatticeError(f"map does not intertwine {name}")
 
 
 @dataclass(frozen=True)
@@ -205,9 +210,7 @@ class ExtensionSpec:
 
 def trivial_lattice(g: GroupSpec, rank: int = 1) -> GLattice:
     ident = IntMatrix.identity(rank)
-    if g.is_dihedral:
-        return GLattice(g, ident, ident, validate=False)
-    return GLattice(g, ident, validate=False)
+    return GLattice(g, ident, ident, validate=False)
 
 
 def sign_lattice(g: GroupSpec) -> GLattice:
@@ -250,10 +253,8 @@ def perm_lattice(g: GroupSpec, s: SubgroupClass) -> GLattice:
             m[i][j] = 1
         return IntMatrix(m)
 
-    sig = act_matrix(GroupElement(1 % g.n, 0))
-    if g.is_dihedral:
-        return GLattice(g, sig, act_matrix(GroupElement(0, 1)), validate=False)
-    return GLattice(g, sig, validate=False)
+    gens = [GroupElement(1 % g.n, 0)] + ([GroupElement(0, 1)] if g.is_dihedral else [])
+    return GLattice(g, *map(act_matrix, gens), validate=False)
 
 
 def regular_lattice(g: GroupSpec) -> GLattice:
@@ -281,25 +282,19 @@ def direct_sum(*lattices: GLattice) -> GLattice:
     g = lattices[0].group
     if any(m.group != g for m in lattices):
         raise LatticeError("direct sum over mismatched groups")
-    sig = block_diag(*(m.sigma for m in lattices))
-    if g.is_dihedral:
-        return GLattice(g, sig, block_diag(*(m.tau for m in lattices)), validate=False)
-    return GLattice(g, sig, validate=False)
+    blocks = zip(*(m.gens for m in lattices))
+    return GLattice(g, *(block_diag(*mats) for mats in blocks), validate=False)
 
 
 def zero_lattice(g: GroupSpec) -> GLattice:
     z = IntMatrix([], cols=0)
-    if g.is_dihedral:
-        return GLattice(g, z, z, validate=False)
-    return GLattice(g, z, validate=False)
+    return GLattice(g, z, z, validate=False)
 
 
 def dual(m: GLattice) -> GLattice:
     """Contragredient: rho*(g) = rho(g^{-1})^T."""
-    sig = m.sigma_power(m.group.n - 1).transpose()
-    if m.tau is None:
-        return GLattice(m.group, sig, validate=False)
-    return GLattice(m.group, sig, m.tau.transpose(), validate=False)
+    inverses = (m.sigma_power(m.group.n - 1),) + m.gens[1:]
+    return GLattice(m.group, *(x.transpose() for x in inverses), validate=False)
 
 
 def presentation_generators(s: SubgroupClass) -> tuple:
@@ -392,26 +387,17 @@ def quotient_with_maps(m: GLattice, sub_basis: IntMatrix) -> QuotientResult:
     def transform(rho: IntMatrix) -> IntMatrix:
         return tinv_t * rho * tt
 
-    mats = {}
-    for name, rho in (("sigma", m.sigma), ("tau", m.tau)):
-        if rho is None:
-            continue
+    mats = []
+    for name, rho in zip(("sigma", "tau"), m.gens):
         conj = transform(rho)
         for i in range(k, m.rank):
             for j in range(k):
                 if conj[i, j] != 0:
                     raise NonStableSublattice(f"sublattice is not stable under {name}")
-        mats[name] = conj
-    sub_sigma = mats["sigma"].submatrix(range(k), range(k))
-    quo_sigma = mats["sigma"].submatrix(range(k, m.rank), range(k, m.rank))
-    if m.tau is not None:
-        sub_tau = mats["tau"].submatrix(range(k), range(k))
-        quo_tau = mats["tau"].submatrix(range(k, m.rank), range(k, m.rank))
-        sub_lat = GLattice(m.group, sub_sigma, sub_tau, validate=False)
-        quo_lat = GLattice(m.group, quo_sigma, quo_tau, validate=False)
-    else:
-        sub_lat = GLattice(m.group, sub_sigma, validate=False)
-        quo_lat = GLattice(m.group, quo_sigma, validate=False)
+        mats.append(conj)
+    top, bottom = range(k), range(k, m.rank)
+    sub_lat = GLattice(m.group, *(c.submatrix(top, top) for c in mats), validate=False)
+    quo_lat = GLattice(m.group, *(c.submatrix(bottom, bottom) for c in mats), validate=False)
     inclusion = t.submatrix(range(k), range(m.rank)).transpose()
     projection = IntMatrix.from_rows(tinv_t.data[k:], cols=m.rank)
     return QuotientResult(
@@ -434,7 +420,7 @@ def anisotropic_sublattice(m: GLattice) -> ExtensionSpec:
     q = quotient_with_maps(m, basis)
     # the quotient carries a trivial action
     ident = IntMatrix.identity(q.lattice.rank)
-    if q.lattice.sigma != ident or (q.lattice.tau is not None and q.lattice.tau != ident):
+    if any(rho != ident for rho in q.lattice.gens):
         raise LatticeError("quotient by the norm kernel is not trivial")
     ext = ExtensionSpec(
         sub=q.sub_lattice,
@@ -449,10 +435,7 @@ def anisotropic_sublattice(m: GLattice) -> ExtensionSpec:
 def sublattice_action(m: GLattice, basis: IntMatrix) -> GLattice:
     """Induced action on a G-stable (not necessarily saturated) sublattice."""
     mats = []
-    for rho in (m.sigma, m.tau):
-        if rho is None:
-            mats.append(None)
-            continue
+    for rho in m.gens:
         mapped = IntMatrix.from_rows(
             [rho.matvec(row) for row in basis.data], cols=m.rank
         )
@@ -460,9 +443,7 @@ def sublattice_action(m: GLattice, basis: IntMatrix) -> GLattice:
         if coords is None:
             raise NonStableSublattice("sublattice not stable under the action")
         mats.append(coords.transpose())
-    if mats[1] is None:
-        return GLattice(m.group, mats[0], validate=False)
-    return GLattice(m.group, mats[0], mats[1], validate=False)
+    return GLattice(m.group, *mats, validate=False)
 
 
 def hom_lattice(a: GLattice, b: GLattice) -> GLattice:
@@ -492,7 +473,6 @@ def hom_lattice(a: GLattice, b: GLattice) -> GLattice:
                             out[i2 * ra + j2][col] += c1 * c2
         return IntMatrix(out)
 
-    sig = conj_matrix(b.sigma, a.sigma_power(g.n - 1))
-    if g.is_dihedral:
-        return GLattice(g, sig, conj_matrix(b.tau, a.tau), validate=False)
-    return GLattice(g, sig, validate=False)
+    a_inverses = (a.sigma_power(g.n - 1),) + a.gens[1:]
+    mats = (conj_matrix(rho_b, rho_a_inv) for rho_b, rho_a_inv in zip(b.gens, a_inverses))
+    return GLattice(g, *mats, validate=False)

@@ -124,10 +124,7 @@ def hom_space_basis(a: GLattice, b: GLattice) -> list[IntMatrix]:
     ra, rb = a.rank, b.rank
     n_vars = ra * rb
     rows = []
-    pairs = [(a.sigma, b.sigma)]
-    if a.tau is not None:
-        pairs.append((a.tau, b.tau))
-    for rho_a, rho_b in pairs:
+    for rho_a, rho_b in zip(a.gens, b.gens):
         # X rho_a - rho_b X = 0, unknowns X[i][j] flattened as i * ra + j
         for i in range(rb):
             for j in range(ra):
@@ -152,11 +149,7 @@ def _verify_iso(a: GLattice, b: GLattice, matrix: IntMatrix) -> bool:
         return False
     if det(matrix) not in (1, -1):
         return False
-    if matrix * a.sigma != b.sigma * matrix:
-        return False
-    if a.tau is not None and matrix * a.tau != b.tau * matrix:
-        return False
-    return True
+    return all(matrix * x == y * matrix for x, y in zip(a.gens, b.gens))
 
 
 def iso(
@@ -270,9 +263,7 @@ def permutation_decomposition(m: GLattice) -> list[str] | None:
         while frontier:
             nxt = []
             for i in frontier:
-                for rho in (m.sigma, m.tau):
-                    if rho is None:
-                        continue
+                for rho in m.gens:
                     j = next(k for k in range(m.rank) if rho[k, i] == 1)
                     if j not in orbit:
                         orbit.add(j)

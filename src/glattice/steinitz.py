@@ -33,8 +33,7 @@ from .cyclotomic import (
     principal_ideal,
     unit_ideal,
 )
-from .lattices import GLattice, LatticeError, fixed_sublattice, quotient_with_maps
-from .groups import subgroup_classes
+from .lattices import GLattice, LatticeError, full_fixed_sublattice, quotient_with_maps
 
 
 def _check_cp(n: GLattice) -> int:
@@ -46,14 +45,8 @@ def _check_cp(n: GLattice) -> int:
 
 def n0_and_n1(n: GLattice) -> tuple[IntMatrix, IntMatrix]:
     """Saturated bases of the fixed part and of ker Phi_p(sigma)."""
-    p = _check_cp(n)
-    full = subgroup_classes(n.group)[-1]
-    n0 = fixed_sublattice(n, full)
-    phi = IntMatrix.zero(n.rank, n.rank)
-    for k in range(p):
-        phi = phi + n.sigma_power(k)
-    n1 = right_kernel_basis(phi)
-    return n0, n1
+    _check_cp(n)
+    return full_fixed_sublattice(n), right_kernel_basis(n.full_norm_matrix())
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,11 @@ def _bad_lattices():
             "group field 'n' must be an integer, not 2.0",
         ),
         "string rank": (dict(good, rank="3"), "lattice field 'rank' must be an integer, not '3'"),
+        # a cyclic group drops tau, but only after checking its shape
+        "cyclic tau not square": (
+            {"group": {"kind": "cyclic", "n": 2}, "rank": 1, "sigma": [[-1]], "tau": [[1], [1]]},
+            "generator matrices must be square",
+        ),
         "bool entry": (
             {"group": {"kind": "cyclic", "n": 2}, "rank": 1, "sigma": [[True]]},
             "sigma entries must be integers, not True",

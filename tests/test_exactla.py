@@ -394,6 +394,16 @@ def test_product_shape_mismatch_raises(r, n, c, off, data):
             a.power(2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.data())
+def test_hnf_is_idempotent(r, c, data):
+    """An HNF is its own HNF, reached without a single row operation."""
+    h = hnf(data.draw(_operand(r, c))).h
+    again = hnf(h)
+    assert again.h == h
+    assert again.u == IntMatrix.identity(r)
+
+
 def _unit_triangular(rng, n: int, lower: bool) -> IntMatrix:
     """Ones on the diagonal and a few small entries on one side of it."""
     rows = [[0] * n for _ in range(n)]

@@ -3,7 +3,7 @@
 import pytest
 
 from glattice.exactla import IntMatrix, is_saturated, snf
-from glattice.catalog import LEE_NAMES, build
+from glattice.catalog import LEE_NAMES, _nonsplit_extension, build
 from glattice.groups import (
     GroupElement,
     class_by_label,
@@ -37,6 +37,7 @@ from glattice.lattices import (
     regular_lattice,
     restrict,
     sign_lattice,
+    sublattice_action,
     trivial_lattice,
     zero_lattice,
 )
@@ -295,3 +296,33 @@ def test_induce_shapes():
     mm = induce(g, -1)
     assert not mm.is_permutation
     assert mm.tau == -mp.tau
+
+
+@pytest.mark.parametrize("g", [cyclic(3), cyclic(5), dihedral(3), dihedral(5)], ids=str)
+def test_gens_on_every_constructor(g):
+    """`gens` is (sigma,) over C_n and (sigma, tau) over D_n, whatever built it."""
+    p = g.n
+    # P restricted to the whole of g: over C_p that drops its tau
+    m = restrict(build("P", p), class_by_label(dihedral(p), str(g)))
+    z = trivial_lattice(g, 2)
+    regular = regular_lattice(g)
+    fixed = full_fixed_sublattice(regular)
+    q = quotient_with_maps(regular, fixed)
+    built = [
+        m,
+        z,
+        zero_lattice(g),
+        direct_sum(m, z),
+        dual(m),
+        hom_lattice(m, z),
+        q.lattice,
+        q.sub_lattice,
+        sublattice_action(regular, IntMatrix.identity(regular.rank) * 2),
+        _nonsplit_extension([m], trivial_lattice(g)),
+    ] + [perm_lattice(g, s) for s in subgroup_classes(g)]
+    for lat in built:
+        assert lat.group == g, lat
+        if g.is_dihedral:
+            assert lat.gens == (lat.sigma, lat.tau) and lat.tau is not None, lat
+        else:
+            assert lat.gens == (lat.sigma,) and lat.tau is None, lat

@@ -1,10 +1,12 @@
-"""`snf`, `hnf` and `det` against sympy, an independent exact implementation."""
+"""`snf`, `hnf`, `det`, `factor_cyclotomic_mod` and `is_prime` against sympy,
+an independent exact implementation."""
 
 import random
 
-from sympy import ZZ, Matrix
+from sympy import ZZ, Matrix, Poly, cyclotomic_poly, isprime, primerange, symbols
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
+from glattice.cyclotomic import factor_cyclotomic_mod, is_prime
 from glattice.exactla import IntMatrix, det, hnf, snf
 
 
@@ -47,3 +49,26 @@ def test_hnf_against_sympy_hermite_normal_form():
         assert Matrix(res.u.tolists()).det() in (1, -1), m
         theirs = hermite_normal_form(Matrix(m.tolists()).T)
         assert hermite_normal_form(Matrix(res.h.tolists()).T) == theirs, m
+
+
+def _monic_mod(coeffs_high_first, ell: int) -> tuple:
+    """Low-to-high coefficients reduced mod ell, scaled to a monic polynomial."""
+    low = [int(c) % ell for c in reversed(coeffs_high_first)]
+    inv = pow(low[-1], -1, ell)
+    return tuple(c * inv % ell for c in low)
+
+
+def test_factor_cyclotomic_mod_matches_sympy_factor_list():
+    """The monic irreducible factors of Phi_p mod ell, as sets (for ell = p
+    both give X - 1 alone; sympy also reports its multiplicity p - 1)."""
+    x = symbols("x")
+    for p in primerange(3, 32):
+        for ell in primerange(2, 32):
+            _, factors = Poly(cyclotomic_poly(p, x), x, modulus=ell).factor_list()
+            theirs = {_monic_mod(f.all_coeffs(), ell) for f, _ in factors}
+            ours = factor_cyclotomic_mod(p, ell)
+            assert len(ours) == len(theirs) and set(map(tuple, ours)) == theirs, (p, ell)
+
+
+def test_is_prime_matches_sympy():
+    assert all(is_prime(n) == isprime(n) for n in range(-5, 2000))
