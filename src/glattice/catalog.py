@@ -29,10 +29,12 @@ from .lattices import (
     LatticeError,
     LatticeMap,
     direct_sum,
+    flip_matrix,
     hom_lattice,
     induce,
     perm_lattice,
     regular_lattice,
+    shift_matrix,
     sign_lattice,
     trivial_lattice,
 )
@@ -74,22 +76,6 @@ def _check_n(name: str, n: int) -> None:
         raise LatticeError(f"census name {name} needs prime n, got {n}")
 
 
-def shift_matrix(n: int) -> IntMatrix:
-    """Cyclic shift: e_i -> e_{i+1}."""
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[(i + 1) % n][i] = 1
-    return IntMatrix(a)
-
-
-def flip_matrix(n: int) -> IntMatrix:
-    """e_i -> e_{n-i} (fixes e_0)."""
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        b[(n - i) % n][i] = 1
-    return IntMatrix(b)
-
-
 def n_quotient_sigma(n: int) -> IntMatrix:
     """Companion-style shift with -1 last column (rank n-1)."""
     a = [[0] * (n - 1) for _ in range(n - 1)]
@@ -108,25 +94,12 @@ def n_quotient_tau(n: int) -> IntMatrix:
 
 
 def tilde_sigma(n: int) -> IntMatrix:
-    a = shift_matrix(n)
-    out = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = a[i, j]
-    out[n][n] = 1
-    return IntMatrix(out)
+    return block_diag(shift_matrix(n), IntMatrix.identity(1))
 
 
 def tilde_tau(n: int) -> IntMatrix:
     """tau on the rank n+1 extension: flip on the head, last column (1..1,-1)."""
-    b = flip_matrix(n)
-    out = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = b[i, j]
-        out[i][n] = 1
-    out[n][n] = -1
-    return IntMatrix(out)
+    return flip_matrix(n).hstack(IntMatrix([[1]] * n)).vstack(IntMatrix([[0] * n + [-1]]))
 
 
 def build(name: str, n: int) -> GLattice:
@@ -343,14 +316,9 @@ def l46_kernel_lattice(n: int) -> GLattice:
     """ker(Z[G] -> Z[H]) on the basis u_1..u_{n-1}, v_1..v_{n-1}."""
     g = dihedral(n)
     a = n_quotient_sigma(n)
-    m = n - 1
-    sigma = block_diag(a, a)
-    tau_rows = [[0] * (2 * m) for _ in range(2 * m)]
-    for j in range(m):
-        # tau: u_{j+1} -> v_{n-j-1}, v_{j+1} -> u_{n-j-1}
-        tau_rows[m + (m - 1 - j)][j] = 1
-        tau_rows[m - 1 - j][m + j] = 1
-    return GLattice(g, sigma, IntMatrix(tau_rows))
+    anti = n_quotient_tau(n)  # tau: u_i -> v_{n-i}, v_i -> u_{n-i}
+    zero = IntMatrix.zero(n - 1, n - 1)
+    return GLattice(g, block_diag(a, a), zero.hstack(anti).vstack(anti.hstack(zero)))
 
 
 def l46_embedding(n: int) -> LatticeMap:
@@ -487,32 +455,17 @@ def _nonsplit_extension(bottoms: list, top: GLattice) -> GLattice:
     [[rho_bottom, phi * rho_top], [0, rho_top]].
     """
     rt = top.rank
-    pieces = []  # (bottom, [phi(sigma), phi(tau)])
+    phis = []  # per bottom: [phi(sigma), phi(tau)]
     for bottom in bottoms:
         chosen = _noncoboundary_cocycle(bottom, top)
         rows = [chosen[k : k + rt] for k in range(0, len(chosen), rt)]
         rb = bottom.rank
-        pieces.append(
-            (bottom, [IntMatrix(rows[k : k + rb], cols=rt) for k in range(0, len(rows), rb)])
-        )
-
-    total_rb = sum(b.rank for b, _ in pieces)
+        phis.append([IntMatrix(rows[k : k + rb], cols=rt) for k in range(0, len(rows), rb)])
 
     def assemble(k, rho_t):
-        rows = []
-        offset = 0
-        for bottom, phis in pieces:
-            rho_b = bottom.gens[k]
-            phi = phis[k] * rho_t
-            for i in range(bottom.rank):
-                row = [0] * total_rb
-                for j in range(bottom.rank):
-                    row[offset + j] = rho_b[i, j]
-                rows.append(row + list(phi.data[i]))
-            offset += bottom.rank
-        for i in range(rt):
-            rows.append([0] * total_rb + list(rho_t.data[i]))
-        return IntMatrix(rows, cols=total_rb + rt)
+        rho_b = block_diag(*(bottom.gens[k] for bottom in bottoms))
+        phi = IntMatrix.from_rows([row for f in phis for row in (f[k] * rho_t).data], cols=rt)
+        return rho_b.hstack(phi).vstack(IntMatrix.zero(rt, rho_b.cols).hstack(rho_t))
 
     return GLattice(top.group, *(assemble(k, rho) for k, rho in enumerate(top.gens)))
 

@@ -1,4 +1,5 @@
-"""Exact integer matrix algebra: SNF, HNF, determinants, kernels.
+"""Exact integer matrix algebra: SNF, HNF, determinants, kernels, and the
+block layouts (`block_diag`, `kron`) that lattice constructions assemble from.
 
 Everything here works on arbitrary-precision Python ints; there is no
 floating point anywhere in this module.  Matrices are immutable
@@ -63,12 +64,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
 
     def tolists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
@@ -173,6 +168,17 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
         i0 += b.rows
         j0 += b.cols
     return IntMatrix(out, cols=m)
+
+
+def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Kronecker product: block (i, j) is a[i, j] * b."""
+    out = [[0] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for i, arow in enumerate(a.data):
+        for j, x in enumerate(arow):
+            if x:
+                for k, brow in enumerate(b.data):
+                    out[i * b.rows + k][j * b.cols : (j + 1) * b.cols] = [x * y for y in brow]
+    return IntMatrix(out, cols=a.cols * b.cols)
 
 
 @dataclass(frozen=True)

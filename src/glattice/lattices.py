@@ -19,6 +19,7 @@ from .exactla import (
     inverse_unimodular,
     is_saturated,
     is_unimodular,
+    kron,
     right_kernel_basis,
     row_space_hnf,
     snf,
@@ -261,19 +262,29 @@ def regular_lattice(g: GroupSpec) -> GLattice:
     return perm_lattice(g, trivial_class(g))
 
 
+def shift_matrix(n: int) -> IntMatrix:
+    """Cyclic shift: e_i -> e_{i+1}."""
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[(i + 1) % n][i] = 1
+    return IntMatrix(a)
+
+
+def flip_matrix(n: int) -> IntMatrix:
+    """e_i -> e_{n-i} (fixes e_0)."""
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        b[(n - i) % n][i] = 1
+    return IntMatrix(b)
+
+
 def induce(g: GroupSpec, tau_sign: int) -> GLattice:
     """Induced lattice from <tau>: sigma a cyclic shift, tau the (signed) flip."""
     if not g.is_dihedral:
         raise LatticeError("induction needs a dihedral group")
     if tau_sign not in (1, -1):
         raise LatticeError("tau_sign must be +1 or -1")
-    n = g.n
-    a = [[0] * n for _ in range(n)]
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[(i + 1) % n][i] = 1
-        b[(n - i) % n][i] = tau_sign
-    return GLattice(g, IntMatrix(a), IntMatrix(b))
+    return GLattice(g, shift_matrix(g.n), flip_matrix(g.n) * tau_sign)
 
 
 def direct_sum(*lattices: GLattice) -> GLattice:
@@ -449,30 +460,12 @@ def sublattice_action(m: GLattice, basis: IntMatrix) -> GLattice:
 def hom_lattice(a: GLattice, b: GLattice) -> GLattice:
     """Hom_Z(a, b) with the conjugation action g . X = rho_b(g) X rho_a(g)^{-1}.
 
-    Coordinates: X is b.rank x a.rank, flattened row-major.
+    Coordinates: X is b.rank x a.rank, flattened row-major, so g acts by
+    kron(rho_b(g), (rho_a(g)^{-1})^T).
     """
     if a.group != b.group:
         raise LatticeError("hom lattice needs a common group")
     g = a.group
-    ra, rb = a.rank, b.rank
-
-    def conj_matrix(rho_b: IntMatrix, rho_a_inv: IntMatrix) -> IntMatrix:
-        size = ra * rb
-        out = [[0] * size for _ in range(size)]
-        for i in range(rb):
-            for j in range(ra):
-                col = i * ra + j
-                # image of the elementary matrix E_ij
-                for i2 in range(rb):
-                    c1 = rho_b[i2, i]
-                    if not c1:
-                        continue
-                    for j2 in range(ra):
-                        c2 = rho_a_inv[j, j2]
-                        if c2:
-                            out[i2 * ra + j2][col] += c1 * c2
-        return IntMatrix(out)
-
     a_inverses = (a.sigma_power(g.n - 1),) + a.gens[1:]
-    mats = (conj_matrix(rho_b, rho_a_inv) for rho_b, rho_a_inv in zip(b.gens, a_inverses))
+    mats = (kron(rho_b, rho_a_inv.transpose()) for rho_b, rho_a_inv in zip(b.gens, a_inverses))
     return GLattice(g, *mats, validate=False)

@@ -152,18 +152,10 @@ def _verify_iso(a: GLattice, b: GLattice, matrix: IntMatrix) -> bool:
     return all(matrix * x == y * matrix for x, y in zip(a.gens, b.gens))
 
 
-def iso(
-    a: GLattice,
-    b: GLattice,
-    budget: Budget = DEFAULT_BUDGET,
-    seeds: tuple = (),
-) -> IsoResult:
+def iso(a: GLattice, b: GLattice, budget: Budget = DEFAULT_BUDGET) -> IsoResult:
     """Three-valued equivariant-isomorphism search with verified output."""
     if a.group != b.group:
         raise LatticeError("iso needs lattices over one group")
-    for seed_matrix in seeds:
-        if _verify_iso(a, b, seed_matrix):
-            return IsoResult("iso", LatticeMap(a, b, seed_matrix))
     if a.rank != b.rank:
         return IsoResult("noniso", detail="rank")
     if a == b:
@@ -174,9 +166,7 @@ def iso(
         return IsoResult("noniso", detail=diff)
     basis = hom_space_basis(a, b)
     if not basis:
-        return IsoResult("noniso", detail="empty hom space") if a.rank else IsoResult(
-            "iso", LatticeMap(a, b, IntMatrix([], cols=0))
-        )
+        return IsoResult("noniso", detail="empty hom space")
     d = len(basis)
     candidate = _candidate_maker(basis)
     radius = budget.box_radius
@@ -317,7 +307,7 @@ def _missing_generator(fixed: IntMatrix, coords: list) -> tuple | None:
     return fixed.vecmat(inverse_unimodular(res.v).data[missing[0]]) if missing else None
 
 
-def flabby_resolution(m: GLattice, check: bool = True) -> FlabbyResolution:
+def flabby_resolution(m: GLattice) -> FlabbyResolution:
     """0 -> M -> Q -> E -> 0 with Q permutation and E flabby.
 
     Built by covering the dual (Colliot-Thelene-Sansuc): Q is a sum of
@@ -390,11 +380,10 @@ def flabby_resolution(m: GLattice, check: bool = True) -> FlabbyResolution:
         inclusion=LatticeMap(m, q, inclusion),
         projection=LatticeMap(q, flabby_part, quo.projection),
     )
-    if check:
-        seq.check()
-        rep = is_flabby(flabby_part)
-        if not rep.ok:
-            raise LatticeError(f"flabby part failed the flabbiness test: {rep.failing}")
+    seq.check()
+    rep = is_flabby(flabby_part)
+    if not rep.ok:
+        raise LatticeError(f"flabby part failed the flabbiness test: {rep.failing}")
     return FlabbyResolution(
         lattice=m,
         perm=q,
@@ -479,15 +468,11 @@ def stably_permutation(
             raise LatticeError(f"stably-permutation question is posed for flabby lattices: {rep.failing}")
     g = m.group
 
-    def padded_by(labels) -> GLattice:
-        parts = (perm_lattice(g, class_by_label(g, lab)) for lab in labels)
-        return direct_sum(m, *parts) if labels else m
-
-    def found(res: IsoResult, pad_labels, target: GLattice, target_labels):
+    def found(iso_map: LatticeMap, padding: GLattice, pad_labels, target_labels):
         w = StablyPermutationWitness(
-            padding=perm_from_decomposition(g, pad_labels),
-            target=target,
-            iso_map=res.witness,
+            padding=padding,
+            target=iso_map.target,
+            iso_map=iso_map,
             padding_labels=tuple(pad_labels),
             target_labels=tuple(target_labels),
         )
@@ -496,29 +481,34 @@ def stably_permutation(
     # literal permutation lattice: empty padding
     labels = permutation_decomposition(m)
     if labels is not None:
-        target = perm_from_decomposition(g, labels)
-        res = iso(m, target, budget)
+        res = iso(m, perm_from_decomposition(g, labels), budget)
         if res:
-            return found(res, (), target, labels)
-    # catalog-seeded identities
+            return found(res.witness, trivial_lattice(g, 0), (), labels)
+    # catalog-seeded identities, each intertwiner checked against M + P1
     for pad_labels, wit in _witness_seeds(m):
-        padded = padded_by(pad_labels)
-        if padded == wit.lhs:
-            res = iso(padded, wit.rhs, budget, seeds=(wit.intertwiner,))
-            if res:
-                return found(res, pad_labels, wit.rhs, permutation_decomposition(wit.rhs) or ())
+        padding = perm_from_decomposition(g, pad_labels)
+        padded = direct_sum(m, padding)
+        if padded == wit.lhs and _verify_iso(padded, wit.rhs, wit.intertwiner):
+            iso_map = LatticeMap(padded, wit.rhs, wit.intertwiner)
+            return found(iso_map, padding, pad_labels, permutation_decomposition(wit.rhs) or ())
     # generic bounded enumeration: a cheap fingerprint gate (without H^1)
     # first, a capped number of real searches after
+    max_pad = budget.padding_rank_factor * max(m.rank, 1)
+    multisets = _perm_multisets(g, m.rank + max_pad)
+    targets: dict[int, list] = {}
+    for target_labels, t_rank in multisets:
+        targets.setdefault(t_rank, []).append(target_labels)
     attempts = 0
-    for pad_labels, pad_rank in _perm_multisets(g, budget.padding_rank_factor * max(m.rank, 1)):
+    for pad_labels, pad_rank in multisets:
         total_rank = m.rank + pad_rank
+        if pad_rank > max_pad:
+            break
         if total_rank == 0:
             continue
-        padded = padded_by(pad_labels)
+        padding = perm_from_decomposition(g, pad_labels)
+        padded = direct_sum(m, padding)
         padded_fp = fingerprint(padded, with_h1=False)
-        for target_labels, t_rank in _perm_multisets(g, total_rank):
-            if t_rank != total_rank:
-                continue
+        for target_labels in targets.get(total_rank, ()):
             target = perm_from_decomposition(g, list(target_labels))
             if padded_fp.differs_from(fingerprint(target, with_h1=False)):
                 continue
@@ -529,7 +519,7 @@ def stably_permutation(
                 )
             res = iso(padded, target, budget)
             if res:
-                return found(res, pad_labels, target, target_labels)
+                return found(res.witness, padding, pad_labels, target_labels)
     return StablyPermutationResult("unknown", detail="padding budget exhausted")
 
 

@@ -86,6 +86,8 @@ def lattice_from_json(data: dict) -> tuple[GLattice, dict]:
     if data.get("tau") is not None:
         tau = matrix_from_json(data["tau"], cols=rank, what="tau")
     lat = GLattice(g, sigma, tau)
+    if tau is not None and lat.tau is None:
+        raise LatticeError("lattice field 'tau' must be null or absent over a cyclic group")
     raw = _object(data.get("annotations") or {}, "annotations")
     annotations = dict(raw)
     if "non_principal_ideal" in raw:

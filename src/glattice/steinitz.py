@@ -17,6 +17,7 @@ from math import isqrt
 from .exactla import (
     IntMatrix,
     det,
+    lattice_index,
     right_kernel_basis,
     row_space_hnf,
 )
@@ -124,13 +125,6 @@ def _apply_poly(poly, zmat: IntMatrix) -> IntMatrix:
     return out
 
 
-def _lattice_index_det(sup: IntMatrix, sub: IntMatrix) -> int:
-    dsup, dsub = abs(det(sup)), abs(det(sub))
-    if dsup == 0 or dsub % dsup:
-        raise LatticeError("nested lattice determinants do not divide")
-    return dsub // dsup
-
-
 def order_ideal(torsion: TorsionModule, p: int) -> IdealHNF:
     """0th Fitting-style order ideal: product of p^(length) over primes p."""
     if torsion.dim == 0 or torsion.order == 1:
@@ -157,7 +151,9 @@ def order_ideal(torsion: TorsionModule, p: int) -> IdealHNF:
                     + list(torsion.relations.data)
                 )
                 nxt = row_space_hnf(IntMatrix(nxt_rows, cols=torsion.dim))
-                idx = _lattice_index_det(level, nxt)
+                idx = lattice_index(level, nxt)
+                if idx is None:
+                    raise LatticeError("order-ideal filtration step is not a full-rank sublattice")
                 if idx == 1:
                     break
                 dim_drop = 0
@@ -180,6 +176,9 @@ def order_ideal(torsion: TorsionModule, p: int) -> IdealHNF:
 
 # --- short vector search ------------------------------------------------------
 
+_SHORT_VECTOR_LIMIT = 200000  # vectors one short_vectors call collects at most
+_PRINCIPALITY_MAX_DIM = 12  # principality searches ideals of degree up to this
+
 
 def trace_gram(p: int, basis: IntMatrix) -> IntMatrix:
     """Gram matrix of Tr(x * conj(y)) on the given ideal basis (exact)."""
@@ -188,7 +187,7 @@ def trace_gram(p: int, basis: IntMatrix) -> IntMatrix:
     return basis * t2 * basis.transpose()
 
 
-def short_vectors(gram: IntMatrix, bound: int, limit: int = 200000):
+def short_vectors(gram: IntMatrix, bound: int):
     """All nonzero x (up to sign) with x^T G x <= bound, exact arithmetic."""
     d = gram.rows
     q = [[Fraction(gram[i, j]) for j in range(d)] for i in range(d)]
@@ -205,7 +204,7 @@ def short_vectors(gram: IntMatrix, bound: int, limit: int = 200000):
     count = [0]
 
     def recurse(i, remaining):
-        if count[0] >= limit:
+        if count[0] >= _SHORT_VECTOR_LIMIT:
             return
         if i < 0:
             if any(x):
@@ -270,9 +269,7 @@ class PrincipalityResult:
         return self.generator is not None
 
 
-def principality(
-    ideal: IdealHNF, search_bound: int = 3, limit: int = 200000, max_dim: int = 12
-) -> PrincipalityResult:
+def principality(ideal: IdealHNF, search_bound: int = 3) -> PrincipalityResult:
     """Look for alpha with (alpha) = ideal; bounded, can only confirm."""
     if ideal.real_subfield:
         raise NotImplementedError("principality runs over the full cyclotomic ring")
@@ -280,7 +277,7 @@ def principality(
     target = ideal.norm()
     if target == 1:
         return PrincipalityResult(generator=one_element(p))
-    if ideal.degree > max_dim:
+    if ideal.degree > _PRINCIPALITY_MAX_DIM:
         # enumeration above desk scale is hopeless; stay honest
         return PrincipalityResult(generator=None)
     gram = trace_gram(p, ideal.basis)
@@ -288,7 +285,7 @@ def principality(
     base = (p - 1) * _nth_root_ceil(target**2, p - 1)
     for mult in range(1, search_bound + 1):
         bound = base * mult
-        for coeffs in short_vectors(gram, bound, limit=limit):
+        for coeffs in short_vectors(gram, bound):
             alpha = ideal.basis.vecmat(coeffs)
             if abs(field_norm(p, alpha)) == target:
                 if principal_ideal(p, alpha) == ideal:

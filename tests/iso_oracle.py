@@ -33,12 +33,9 @@ def combine(basis, coeffs) -> IntMatrix:
     return IntMatrix(out, cols=basis[0].cols)
 
 
-def iso_oracle(a, b, budget=DEFAULT_BUDGET, seeds=()) -> IsoResult:
+def iso_oracle(a, b, budget=DEFAULT_BUDGET) -> IsoResult:
     if a.group != b.group:
         raise LatticeError("iso needs lattices over one group")
-    for seed_matrix in seeds:
-        if _verify_iso(a, b, seed_matrix):
-            return IsoResult("iso", LatticeMap(a, b, seed_matrix))
     if a.rank != b.rank:
         return IsoResult("noniso", detail="rank")
     if a == b:
@@ -48,9 +45,7 @@ def iso_oracle(a, b, budget=DEFAULT_BUDGET, seeds=()) -> IsoResult:
         return IsoResult("noniso", detail=diff)
     basis = hom_space_basis(a, b)
     if not basis:
-        return IsoResult("noniso", detail="empty hom space") if a.rank else IsoResult(
-            "iso", LatticeMap(a, b, IntMatrix([], cols=0))
-        )
+        return IsoResult("noniso", detail="empty hom space")
     d = len(basis)
     radius = budget.box_radius
     cap = max(budget.draws, 1)

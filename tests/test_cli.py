@@ -175,6 +175,10 @@ def _bad_lattices():
             {"group": {"kind": "cyclic", "n": 2}, "rank": 1, "sigma": [[-1]], "tau": [[1], [1]]},
             "generator matrices must be square",
         ),
+        "cyclic tau given": (
+            {"group": {"kind": "cyclic", "n": 2}, "rank": 1, "sigma": [[-1]], "tau": [[7]]},
+            "'tau'",
+        ),
         "bool entry": (
             {"group": {"kind": "cyclic", "n": 2}, "rank": 1, "sigma": [[True]]},
             "sigma entries must be integers, not True",

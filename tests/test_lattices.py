@@ -1,9 +1,12 @@
 """Lattice constructors, sublattices, quotients."""
 
+import itertools
+import random
+
 import pytest
 
-from glattice.exactla import IntMatrix, is_saturated, snf
-from glattice.catalog import LEE_NAMES, _nonsplit_extension, build
+from glattice.exactla import IntMatrix, inverse_unimodular, is_saturated, snf
+from glattice.catalog import LEE_NAMES, _nonsplit_extension, build, lee_census
 from glattice.groups import (
     GroupElement,
     class_by_label,
@@ -284,6 +287,17 @@ def test_hom_lattice_conjugation():
     x = induce(g, -1)
     hz = hom_lattice(z, x)
     assert hz.sigma == x.sigma and hz.tau == x.tau
+    # on census pairs, rho_H(g) vec(X) = vec(rho_B(g) X rho_A(g)^-1), vec row-major
+    rng = random.Random(53)
+    for p in (3, 5):
+        census = lee_census(p)
+        for (_, a), (_, b) in itertools.product(census, repeat=2):
+            h = hom_lattice(a, b)
+            x = IntMatrix([[rng.randint(-4, 4) for _ in range(a.rank)] for _ in range(b.rank)])
+            vec = [v for row in x.data for v in row]
+            for rho_h, rho_a, rho_b in zip(h.gens, a.gens, b.gens):
+                image = rho_b * x * inverse_unimodular(rho_a)
+                assert rho_h.matvec(vec) == tuple(v for row in image.data for v in row)
 
 
 def test_induce_shapes():

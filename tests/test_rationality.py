@@ -95,14 +95,19 @@ def test_iso_finds_base_change():
     res.witness.check()
 
 
-def test_iso_seeded_by_witness():
+def test_stably_permutation_takes_the_catalog_seed():
+    """M~+ + Z and M~- + Z[G/<tau>] are permutation by T34/T35's intertwiner."""
     from glattice.catalog import witness
 
     for n in (3, 5, 7, 9, 11):
-        w = witness("T34", n)
-        res = iso(w.lhs, w.rhs, FAST, seeds=(w.intertwiner,))
-        assert res
-        res.witness.check()
+        for name, wid, pad, target in (
+            ("MplusTilde", "T34", (f"D_{n}",), (f"C_{n}", "D_1")),
+            ("MminusTilde", "T35", ("D_1",), ("1", f"D_{n}")),
+        ):
+            spw = stably_permutation(build(name, n), FAST).witness
+            assert spw.padding_labels == pad and spw.target_labels == target
+            assert spw.iso_map.matrix == witness(wid, n).intertwiner
+            spw.iso_map.check()
 
 
 def test_permutation_decomposition():

@@ -1,13 +1,22 @@
-"""`snf`, `hnf`, `det`, `factor_cyclotomic_mod` and `is_prime` against sympy,
-an independent exact implementation."""
+"""`snf`, `hnf`, `det`, `kron`, `factor_cyclotomic_mod` and `is_prime` against
+sympy, an independent exact implementation."""
 
 import random
 
-from sympy import ZZ, Matrix, Poly, cyclotomic_poly, isprime, primerange, symbols
+from sympy import (
+    ZZ,
+    Matrix,
+    Poly,
+    cyclotomic_poly,
+    isprime,
+    kronecker_product,
+    primerange,
+    symbols,
+)
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from glattice.cyclotomic import factor_cyclotomic_mod, is_prime
-from glattice.exactla import IntMatrix, det, hnf, snf
+from glattice.exactla import IntMatrix, det, hnf, kron, snf
 
 
 def _matrices(seed: int, square: bool):
@@ -34,6 +43,31 @@ def test_snf_diagonal_matches_sympy_invariant_factors():
 def test_det_matches_sympy():
     for m in _matrices(43, square=True):
         assert det(m) == int(Matrix(m.tolists()).det(method="berkowitz")), m
+
+
+def test_kron_matches_sympy_kronecker_product():
+    """Seeded factors up to 4 x 4, half their entries zero.  sympy cannot
+    take an empty factor, so a product with 0 rows or columns is checked for
+    its (a.rows * b.rows) x (a.cols * b.cols) shape alone."""
+    rng = random.Random(47)
+    empty = 0
+    for _ in range(300):
+        a, b = (
+            IntMatrix(
+                [[rng.randint(-5, 5) if rng.random() < 0.5 else 0 for _ in range(cols)]
+                 for _ in range(rows)],
+                cols=cols,
+            )
+            for rows, cols in ((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2))
+        )
+        got = kron(a, b)
+        assert (got.rows, got.cols) == (a.rows * b.rows, a.cols * b.cols)
+        if got.rows and got.cols:
+            want = kronecker_product(Matrix(a.tolists()), Matrix(b.tolists()))
+            assert got.tolists() == want.tolist(), (a, b)
+        else:
+            empty += 1
+    assert empty
 
 
 def test_hnf_against_sympy_hermite_normal_form():
