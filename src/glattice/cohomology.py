@@ -71,8 +71,6 @@ def tate_hminus1(
             continue
         diff = m.rho(a) - ident
         gens.extend(diff.transpose().data)  # columns of (rho(a) - 1)
-    if not gens:
-        gens = [(0,) * m.rank]
     return _invariants_of_submodule(kernel, gens)
 
 

@@ -186,61 +186,24 @@ def unit_ideal(p: int, real_subfield: bool = False) -> IdealHNF:
     return IdealHNF(p, real_subfield, IntMatrix.identity(degree))
 
 
-def principal_ideal(p: int, alpha, real_subfield: bool = False) -> IdealHNF:
+def principal_ideal(p: int, alpha) -> IdealHNF:
     """(alpha) from a coordinate row."""
-    if real_subfield:
-        half = (p - 1) // 2
-        m = real_mult_eta_matrix(p)
-        rows = [tuple(alpha)]
-        for _ in range(half - 1):
-            rows.append(m.vecmat(rows[-1]))
-        return ideal_from_rows(p, IntMatrix(rows, cols=half), True)
     return ideal_from_rows(p, mult_matrix(p, list(alpha)))
 
 
 def ideal_mul(a: IdealHNF, b: IdealHNF) -> IdealHNF:
     if (a.p, a.real_subfield) != (b.p, b.real_subfield):
         raise ValueError("ideal product needs matching rings")
-    p = a.p
-    rows = []
     if a.real_subfield:
-        emb = eta_power_rows(p)
-        eb = [emb.vecmat(rb) for rb in b.basis.data]
-        for ra in a.basis.data:
-            ea = emb.vecmat(ra)
-            rows.extend(elem_mul(p, ea, x) for x in eb)
-        coords = express_rows(emb, IntMatrix.from_rows(rows, cols=p - 1))
-        if coords is None:
-            raise ValueError("ideal product escaped the real subfield basis")
-        return ideal_from_rows(p, coords, True)
-    for ra in a.basis.data:
-        for rb in b.basis.data:
-            rows.append(list(elem_mul(p, ra, rb)))
+        raise NotImplementedError("ideal products run over the full cyclotomic ring")
+    p = a.p
+    rows = [list(elem_mul(p, ra, rb)) for ra in a.basis.data for rb in b.basis.data]
     return ideal_from_rows(p, IntMatrix(rows, cols=p - 1))
 
 
-@dataclass(frozen=True)
-class FractionalIdeal:
-    num: IdealHNF
-    den: int  # positive
-
-    def normalized(self) -> "FractionalIdeal":
-        g = self.den
-        for row in self.num.basis.data:
-            for x in row:
-                g = gcd(g, x)
-        if g <= 1:
-            return self
-        basis = IntMatrix([[x // g for x in row] for row in self.num.basis.data])
-        return FractionalIdeal(ideal_from_rows(self.num.p, basis, self.num.real_subfield), self.den // g)
-
-    def integral_representative(self) -> IdealHNF:
-        """Integral ideal in the same class (denominator is principal)."""
-        return self.normalized().num
-
-
-def ideal_inverse(a: IdealHNF) -> FractionalIdeal:
-    """(R : A) as C / N with C = {y : y.A inside N.R}, N = norm(A)."""
+def ideal_inverse(a: IdealHNF) -> IdealHNF:
+    """Integral representative C / g of the class of (R : A) = C / N, with
+    C = {y : y.A inside N.R}, N = norm(A) and g = gcd(N, entries of C)."""
     if a.real_subfield:
         raise NotImplementedError("inverse only needed over the full ring")
     p = a.p
@@ -253,15 +216,14 @@ def ideal_inverse(a: IdealHNF) -> FractionalIdeal:
     # y in Z^degree with y*stacked = n * z
     aug = stacked.vstack(IntMatrix([[n if i == j else 0 for j in range(stacked.cols)] for i in range(stacked.cols)]))
     kern = kernel_basis(aug)
-    ys = IntMatrix([row[:degree] for row in kern.data], cols=degree)
-    num = ideal_from_rows(p, ys)
-    return FractionalIdeal(num, n).normalized()
+    ys = [row[:degree] for row in kern.data]
+    g = gcd(n, *(x for row in ys for x in row))
+    return ideal_from_rows(p, IntMatrix([[x // g for x in row] for row in ys], cols=degree))
 
 
 def ideal_div_to_integral(a: IdealHNF, b: IdealHNF) -> IdealHNF:
     """Integral representative of the class of A * B^{-1}."""
-    inv = ideal_inverse(b)
-    return ideal_mul(a, inv.num)
+    return ideal_mul(a, ideal_inverse(b))
 
 
 # --- factorization of the cyclotomic polynomial mod ell ----------------------

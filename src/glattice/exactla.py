@@ -536,8 +536,6 @@ def row_space_hnf(m: IntMatrix) -> IntMatrix:
 
 def is_saturated(basis: IntMatrix) -> bool:
     """True when Z^cols / rowspace(basis) is torsion-free."""
-    if basis.rows == 0:
-        return True
     diag = snf(basis).diagonal()
     return all(d == 1 for d in diag if d != 0) and sum(1 for d in diag if d) == basis.rows
 

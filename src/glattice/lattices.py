@@ -243,15 +243,12 @@ def cosets(g: GroupSpec, s: SubgroupClass) -> list[tuple]:
 def perm_lattice(g: GroupSpec, s: SubgroupClass) -> GLattice:
     """Z[G/S] on the coset basis."""
     cs = cosets(g, s)
-    index = {c: i for i, c in enumerate(cs)}
-    members = [set(c) for c in cs]
+    coset_of = {x: i for i, c in enumerate(cs) for x in c}
 
     def act_matrix(a: GroupElement) -> IntMatrix:
         m = [[0] * len(cs) for _ in range(len(cs))]
         for j, c in enumerate(cs):
-            y = mul(g, a, c[0])
-            i = next(k for k, mem in enumerate(members) if y in mem)
-            m[i][j] = 1
+            m[coset_of[mul(g, a, c[0])]][j] = 1
         return IntMatrix(m)
 
     gens = [GroupElement(1 % g.n, 0)] + ([GroupElement(0, 1)] if g.is_dihedral else [])
@@ -357,15 +354,12 @@ def full_fixed_sublattice(m: GLattice) -> IntMatrix:
 class QuotientResult:
     lattice: GLattice
     sub_lattice: GLattice
-    basis: IntMatrix  # rows: sub basis first, then completion
     inclusion: IntMatrix  # ambient coords of sub basis vectors (columns)
     projection: IntMatrix  # ambient coords -> quotient coords
 
 
 def _complete_basis(sub: IntMatrix, rank: int) -> IntMatrix:
     """Extend a saturated row basis to a unimodular rank x rank matrix."""
-    if sub.rows == 0:
-        return IntMatrix.identity(rank)
     h = row_space_hnf(sub)
     pivots = []
     for row in h.data:
@@ -388,7 +382,7 @@ def quotient_with_maps(m: GLattice, sub_basis: IntMatrix) -> QuotientResult:
     k = sub_basis.rows
     if sub_basis.cols != m.rank:
         raise LatticeError("sublattice basis has wrong ambient rank")
-    if k and not is_saturated(sub_basis):
+    if not is_saturated(sub_basis):
         raise NonSaturatedSublattice("sublattice is not saturated")
     t = _complete_basis(sub_basis, m.rank)
     tinv = inverse_unimodular(t)
@@ -414,7 +408,6 @@ def quotient_with_maps(m: GLattice, sub_basis: IntMatrix) -> QuotientResult:
     return QuotientResult(
         lattice=quo_lat,
         sub_lattice=sub_lat,
-        basis=t,
         inclusion=inclusion,
         projection=projection,
     )

@@ -26,7 +26,7 @@ from .exactla import (
     snf,
     solve_with_hnf,
 )
-from .groups import class_by_label, conjugate, elements, subgroup_classes
+from .groups import class_by_label, conjugate_subgroup, elements, subgroup_classes
 from .lattices import (
     ExtensionSpec,
     GLattice,
@@ -39,6 +39,7 @@ from .lattices import (
     perm_lattice,
     quotient_with_maps,
     trivial_lattice,
+    zero_lattice,
 )
 from .cohomology import h1, is_flabby, tate_h0, tate_hminus1
 from .catalog import build, is_prime, witness
@@ -53,6 +54,17 @@ class Budget:
     padding_rank_factor: int = 4  # padding rank up to this times rank(M)
     seed: int = 0
     sp_attempts: int = 200  # iso attempts inside the padding enumeration
+
+    def __post_init__(self):
+        for name, least in (
+            ("box_radius", 0),
+            ("draws", 1),
+            ("padding_rank_factor", 0),
+            ("sp_attempts", 0),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"budget field {name!r} must be at least {least}, got {value}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -134,8 +146,6 @@ def hom_space_basis(a: GLattice, b: GLattice) -> list[IntMatrix]:
                 for k in range(rb):
                     row[k * ra + j] -= rho_b[i, k]
                 rows.append(row)
-    if not rows:
-        return []
     constraint = IntMatrix(rows, cols=n_vars)
     kernel = right_kernel_basis(constraint)
     out = []
@@ -170,7 +180,7 @@ def iso(a: GLattice, b: GLattice, budget: Budget = DEFAULT_BUDGET) -> IsoResult:
     d = len(basis)
     candidate = _candidate_maker(basis)
     radius = budget.box_radius
-    cap = max(budget.draws, 1)
+    cap = budget.draws
     if (2 * radius + 1) ** d <= cap * 4:
         # the box, smallest coefficients first, capped by the draw budget
         box = sorted(
@@ -243,35 +253,21 @@ def permutation_decomposition(m: GLattice) -> list[str] | None:
     g = m.group
     els = elements(g)
     classes = subgroup_classes(g)
+    mats = [m.rho(a) for a in els]
     orbits = []
     seen = set()
     for start in range(m.rank):
         if start in seen:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for rho in m.gens:
-                    j = next(k for k in range(m.rank) if rho[k, i] == 1)
-                    if j not in orbit:
-                        orbit.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        seen |= orbit
-        stab = [a for a in els if m.rho(a)[start, start] == 1]
-        label = None
+        # column `start` of rho(a) is the basis vector a sends e_start to
+        seen |= {next(k for k in range(m.rank) if rho[k, start]) for rho in mats}
+        stab = sorted(a for a, rho in zip(els, mats) if rho[start, start])
         for cls in classes:
-            if cls.order != len(stab):
-                continue
-            rep = set(cls.representative)
-            if any({conjugate(g, x, s) for s in stab} == rep for x in els):
-                label = cls.label
+            if cls.order == len(stab) and any(conjugate_subgroup(g, cls, x) == stab for x in els):
+                orbits.append(cls.label)
                 break
-        if label is None:
+        else:
             return None
-        orbits.append(label)
     return sorted(orbits)
 
 
@@ -299,8 +295,6 @@ def _missing_generator(fixed: IntMatrix, coords: list) -> tuple | None:
     basis.  With U C V = D the SNF of the coordinates, the image is spanned
     by d_i times row i of V^-1, so the first row with d_i != 1 is missing.
     """
-    if not fixed.rows or not coords:
-        return fixed.data[0] if fixed.rows else None
     res = snf(IntMatrix(coords, cols=fixed.rows))
     diag = res.diagonal()
     missing = [i for i in range(fixed.rows) if i >= len(diag) or diag[i] != 1]
@@ -319,16 +313,6 @@ def flabby_resolution(m: GLattice) -> FlabbyResolution:
     and a drop pass then removes each summand the others can do without.
     """
     g = m.group
-    if not m.rank:
-        # zero lattice: 0 -> 0 -> 0 -> 0 -> 0, an empty cover
-        ident_ext = ExtensionSpec(
-            sub=m,
-            total=m,
-            quotient=m,
-            inclusion=LatticeMap(m, m, IntMatrix.identity(0)),
-            projection=LatticeMap(m, m, IntMatrix([], cols=0)),
-        )
-        return FlabbyResolution(m, m, m, ident_ext, ())
     mdual = dual(m)
     classes = sorted(subgroup_classes(g), key=lambda c: -c.order)
     fixed = {c.label: fixed_sublattice(mdual, c) for c in classes}
@@ -337,7 +321,7 @@ def flabby_resolution(m: GLattice) -> FlabbyResolution:
     part_fixed: dict[tuple, IntMatrix] = {}  # (part label, class label) -> fixed rows
 
     def summand(cls, vec):
-        """(label, part, translates, S-fixed image coordinates per class S)."""
+        """(label, translates, S-fixed image coordinates per class S)."""
         if cls.label not in parts:
             parts[cls.label] = perm_lattice(g, cls)
             for c in classes:
@@ -350,7 +334,7 @@ def flabby_resolution(m: GLattice) -> FlabbyResolution:
             images[c.label] = [solve_with_hnf(fixed_hnf[c.label], row) for row in rows]
             if None in images[c.label]:
                 raise LatticeError("fixed image escaped the fixed sublattice")
-        return cls.label, parts[cls.label], translates, images
+        return cls.label, translates, images
 
     def gap(cls, cover):
         coords = [row for *_, images in cover for row in images[cls.label]]
@@ -364,12 +348,12 @@ def flabby_resolution(m: GLattice) -> FlabbyResolution:
         rest = [other for other in cover if other is not item]
         if all(gap(cls, rest) is None for cls in classes):
             cover = rest
-    q = direct_sum(*(part for _, part, _, _ in cover))
+    q = direct_sum(*(parts[label] for label, _, _ in cover)) if cover else m
     # M -> Q is the transpose of Q -> M*, since Q is its own dual (a
     # permutation matrix's inverse is its transpose); the trivial class
     # being covered makes Q -> M* onto
     inclusion = IntMatrix.from_rows(
-        [row for _, _, translates, _ in cover for row in translates.data], cols=m.rank
+        [row for _, translates, _ in cover for row in translates.data], cols=m.rank
     )
     quo = quotient_with_maps(q, row_space_hnf(inclusion.transpose()))
     flabby_part = quo.lattice
@@ -765,11 +749,7 @@ def decompose_anisotropic(
         parts = (
             [pieces["X"]] * s0 + [pieces["R"]] * s1 + [pieces["P"]] * s2 + [pieces["Zminus"]] * t
         )
-        if not parts:
-            if rank == 0:
-                return DecompositionMultiplicities(0, 0, 0, 0)
-            continue
-        cand = direct_sum(*parts)
+        cand = direct_sum(*parts) if parts else zero_lattice(g)
         res = iso(m0, cand, budget)
         if res:
             return DecompositionMultiplicities(s0, s1, s2, t)

@@ -61,23 +61,19 @@ class TorsionModule:
 
     @property
     def order(self) -> int:
-        return abs(det(self.relations)) if self.dim else 1
+        return abs(det(self.relations))
 
 
 @dataclass(frozen=True)
 class IdealModuleData:
     t: int
-    free_sub: IntMatrix  # rows: Z-basis of the chosen free submodule
     torsion: TorsionModule
-    quotient_action: IntMatrix
-    quotient_rank: int
 
 
 def ideal_module(n: GLattice) -> IdealModuleData:
     """Realize N/N_0 over Z[zeta_p] with a maximal free submodule."""
     p = _check_cp(n)
-    n0, _ = n0_and_n1(n)
-    q = quotient_with_maps(n, n0)
+    q = quotient_with_maps(n, full_fixed_sublattice(n))
     zq = q.lattice.sigma
     m = q.lattice.rank
     if m % (p - 1):
@@ -103,16 +99,10 @@ def ideal_module(n: GLattice) -> IdealModuleData:
             rank_now = rank
     if len(chosen) < t:
         raise LatticeError("failed to locate a maximal free submodule")
-    free_rows = IntMatrix(span_rows, cols=m) if span_rows else IntMatrix([], cols=m)
     torsion = TorsionModule(
-        p=p,
-        dim=m,
-        relations=row_space_hnf(free_rows) if t else IntMatrix.identity(m),
-        zmat=zq,
+        p=p, dim=m, relations=row_space_hnf(IntMatrix(span_rows, cols=m)), zmat=zq
     )
-    return IdealModuleData(
-        t=t, free_sub=free_rows, torsion=torsion, quotient_action=zq, quotient_rank=m
-    )
+    return IdealModuleData(t=t, torsion=torsion)
 
 
 def _apply_poly(poly, zmat: IntMatrix) -> IntMatrix:
@@ -127,8 +117,6 @@ def _apply_poly(poly, zmat: IntMatrix) -> IntMatrix:
 
 def order_ideal(torsion: TorsionModule, p: int) -> IdealHNF:
     """0th Fitting-style order ideal: product of p^(length) over primes p."""
-    if torsion.dim == 0 or torsion.order == 1:
-        return unit_ideal(p)
     result = unit_ideal(p)
     remaining = torsion.order
     ell = 2
@@ -315,7 +303,7 @@ def steinitz_class(n: GLattice, search_bound: int = 3) -> SteinitzClassRep:
     p = _check_cp(n)
     data = ideal_module(n)
     ideal = order_ideal(data.torsion, p)
-    rep = ideal_inverse(ideal).integral_representative()
+    rep = ideal_inverse(ideal)
     found = principality(rep, search_bound=search_bound)
     return SteinitzClassRep(
         ideal=rep, known_trivial=bool(found), generator=found.generator

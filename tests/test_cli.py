@@ -112,6 +112,26 @@ def test_classify_command_and_determinism(tmp_path):
     assert serialize.load(out1)["seed"] == 7
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--budget-box", -1, "box_radius"),
+        ("--budget-draws", 0, "draws"),
+        ("--budget-draws", -5, "draws"),
+        ("--budget-rank", -1, "padding_rank_factor"),
+    ],
+)
+def test_out_of_range_budget_exits_3(tmp_path, capsys, flag, value, field):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps(serialize.lattice_to_json(build("R", 3))))
+    b.write_text(json.dumps(serialize.lattice_to_json(build("Nplus", 3))))
+    for args in (["iso", "--a", a, "--b", b], ["iso", "--a", a, "--b", a], ["classify", "--in", a]):
+        assert run(args + [flag, value]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(field) in err and "Traceback" not in err
+
+
 def test_classify_c23_flagged_input(tmp_path):
     b = prime_ideal_above(23, 2, factor_cyclotomic_mod(23, 2)[0])
     lat = ideal_cyclic_lattice(b)

@@ -298,6 +298,7 @@ def test_lattice_index_and_saturation():
     assert lattice_index(sup, sub) == 6
     assert lattice_index(sub, sup) is None
     assert is_saturated(IntMatrix([[1, 1, 1]]))
+    assert is_saturated(IntMatrix([], cols=3))
     assert not is_saturated(IntMatrix([[2, 0], [0, 1]]))
 
 

@@ -264,15 +264,18 @@ def test_quotient_mplus_gives_nplus_matrices():
 def test_quotient_maps_are_exact():
     g = dihedral(5)
     mp = induce(g, 1)
-    res = quotient_with_maps(mp, IntMatrix([[1] * 5]))
-    ext = ExtensionSpec(
-        sub=res.sub_lattice,
-        total=mp,
-        quotient=res.lattice,
-        inclusion=LatticeMap(res.sub_lattice, mp, res.inclusion),
-        projection=LatticeMap(mp, res.lattice, res.projection),
-    )
-    ext.check()
+    for sub in (IntMatrix([[1] * 5]), IntMatrix([], cols=5)):
+        res = quotient_with_maps(mp, sub)
+        ext = ExtensionSpec(
+            sub=res.sub_lattice,
+            total=mp,
+            quotient=res.lattice,
+            inclusion=LatticeMap(res.sub_lattice, mp, res.inclusion),
+            projection=LatticeMap(mp, res.lattice, res.projection),
+        )
+        ext.check()
+    # the zero sublattice leaves the action as it is
+    assert res.lattice == mp
 
 
 def test_hom_lattice_conjugation():

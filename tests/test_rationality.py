@@ -18,6 +18,7 @@ from glattice.lattices import (
     restrict,
     sign_lattice,
     trivial_lattice,
+    zero_lattice,
 )
 from glattice.catalog import LEE_NAMES, build
 from glattice.cohomology import is_flabby
@@ -29,6 +30,7 @@ from glattice.rationality import (
     extra_variable_count,
     fingerprint,
     flabby_resolution,
+    hom_space_basis,
     iso,
     perm_from_decomposition,
     permutation_decomposition,
@@ -76,6 +78,7 @@ def test_iso_reflexive_and_sign():
     res = iso(m, m, FAST)
     assert res and res.witness.matrix == IntMatrix.identity(4)
     assert iso(trivial_lattice(g), sign_lattice(g), FAST).outcome == "noniso"
+    assert hom_space_basis(zero_lattice(g), m) == hom_space_basis(m, zero_lattice(g)) == []
 
 
 def test_iso_finds_base_change():
@@ -115,12 +118,30 @@ def test_permutation_decomposition():
     lat = direct_sum(regular_lattice(g), trivial_lattice(g), build("ZH", 5))
     assert permutation_decomposition(lat) == ["1", "C_5", "D_5"]
     assert permutation_decomposition(build("Mminus", 5)) is None
+    # every Z[G/S1] + Z[G/S2] in a seeded random basis order P.rho.P^T; D_4
+    # and D_6 have two classes of reflections
+    rng = random.Random(11)
+    cases = 0
+    for g in (dihedral(3), dihedral(5), dihedral(9), dihedral(4), dihedral(6), cyclic(5), cyclic(6)):
+        classes = subgroup_classes(g)
+        for i, s1 in enumerate(classes):
+            for s2 in classes[i:]:
+                lat = direct_sum(perm_lattice(g, s1), perm_lattice(g, s2))
+                order = rng.sample(range(lat.rank), lat.rank)
+                p = IntMatrix([[int(j == k) for j in range(lat.rank)] for k in order])
+                shuffled = GLattice(g, *(p * rho * p.transpose() for rho in lat.gens))
+                assert permutation_decomposition(shuffled) == sorted([s1.label, s2.label])
+                cases += 1
+    assert cases == 145
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_flabby_resolutions_catalog(p):
-    for name in LEE_NAMES:
-        res = flabby_resolution(build(name, p))
+    zeros = [zero_lattice(dihedral(p)), zero_lattice(cyclic(p))]
+    for lat in [build(name, p) for name in LEE_NAMES] + zeros:
+        res = flabby_resolution(lat)
+        if not lat.rank:
+            assert res.summands == () and res.perm.rank == res.flabby_part.rank == 0
         res.seq.check()
         assert is_flabby(res.flabby_part).ok
         assert res.perm.is_permutation
@@ -237,6 +258,8 @@ def test_decompose_anisotropic():
     mix = direct_sum(build("R", 3), sign_lattice(g))
     mult = decompose_anisotropic(mix, FAST)
     assert (mult.s0, mult.s1, mult.s2, mult.t) == (0, 1, 0, 1)
+    mult = decompose_anisotropic(zero_lattice(g), FAST)
+    assert (mult.s0, mult.s1, mult.s2, mult.t) == (0, 0, 0, 0)
     m0 = anisotropic_sublattice(regular_lattice(g)).sub
     mult = decompose_anisotropic(m0, Budget(box_radius=2, draws=5000))
     assert mult is not None

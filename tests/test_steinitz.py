@@ -20,6 +20,7 @@ from glattice.cyclotomic import (
     factor_cyclotomic_mod,
     field_norm,
     ideal_from_rows,
+    ideal_inverse,
     ideal_mul,
     mult_matrix,
     prime_ideal_above,
@@ -70,7 +71,8 @@ def test_ideal_module_examples():
     p = 5
     assert ideal_module(regular_cp(p)).t == 1
     assert ideal_module(regular_cp(p)).torsion.order == 1
-    assert ideal_module(trivial_lattice(cyclic(p))).t == 0
+    trivial = ideal_module(trivial_lattice(cyclic(p)))
+    assert trivial.t == 0 and trivial.torsion.order == 1
     rr = direct_sum(r_as_cp(p), r_as_cp(p))
     data = ideal_module(rr)
     assert data.t == 2 and data.torsion.order == 1
@@ -221,6 +223,20 @@ def test_ideal_validation_errors():
         ideal_from_rows(5, bad)
     with _pytest.raises(Exception):
         twisted_lattice("R", unit_ideal(5))  # full-ring ideal rejected
+    with _pytest.raises(NotImplementedError):
+        ideal_mul(unit_ideal(5, real_subfield=True), unit_ideal(5, real_subfield=True))
+
+
+def test_ideal_inverse_times_ideal_is_rational_principal():
+    """P * P^-1 is (k) for a rational integer k: ideal_inverse returns C / g
+    with C = N * P^-1, N = norm(P) and g = gcd(N, entries of C)."""
+    for p in (5, 7, 11):
+        for ell in (2, 3, 5, 7, 11, 13):
+            for factor in factor_cyclotomic_mod(p, ell):
+                prime = prime_ideal_above(p, ell, factor)
+                prod = ideal_mul(prime, ideal_inverse(prime))
+                k = prod.basis[0, 0]
+                assert prod == principal_ideal(p, [k] + [0] * (p - 2)), (p, ell, factor)
 
 
 def test_norm_multiplicative_random_products():
