@@ -17,11 +17,10 @@ from .exactla import (
     IntMatrix,
     block_diag,
     det,
+    echelon,
     express_rows,
-    hnf,
     is_unimodular,
     row_space_hnf,
-    solve_with_hnf,
 )
 from .groups import class_by_label, dihedral, full_class
 from .lattices import (
@@ -439,9 +438,9 @@ def _noncoboundary_cocycle(bottom: GLattice, top: GLattice) -> tuple:
     system outside the span of the B^1 generators (one HNF) is the answer.
     """
     cocycles, boundaries = _fox_system(hom_lattice(top, bottom), full_class(bottom.group))
-    span = hnf(IntMatrix.from_rows(boundaries, cols=cocycles.cols))
+    span = echelon(IntMatrix.from_rows(boundaries, cols=cocycles.cols))
     for row in cocycles.data:
-        if solve_with_hnf(span, row) is None:
+        if row not in span:
             return row
     raise LatticeError("every cocycle is a coboundary; extension would split")
 

@@ -4,6 +4,19 @@ block layouts (`block_diag`, `kron`) that lattice constructions assemble from.
 Everything here works on arbitrary-precision Python ints; there is no
 floating point anywhere in this module.  Matrices are immutable
 (tuple-of-tuples) so they can be hashed and shared freely.
+
+One Smith sweep (`_smith`) and one Hermite sweep (`_hermite`) do every
+elimination, and each routine keeps only the transforms its callers read:
+
+- `snf`: the diagonal, u and v.
+- `smith_diagonal`: the diagonal alone, for `cokernel_invariants`,
+  `is_saturated`, `lattice_index` and `AbelianInvariants.__add__`.
+- `smith_with_vinv`: the diagonal and v^-1, tracked as the inverse row
+  operation of every column operation on v.
+- `hnf`: h, its pivot columns and u, for `solve_with_hnf`, `express_rows`,
+  `kernel_basis` and `inverse_unimodular`.
+- `echelon`: h and its pivot columns without u, for `row_space_hnf` and
+  membership tests.
 """
 
 from __future__ import annotations
@@ -196,13 +209,37 @@ class SNFResult:
 
 
 @dataclass(frozen=True)
-class HNFResult:
+class Echelon:
+    """Row HNF h with the pivot column of each nonzero row, top down."""
+
     h: IntMatrix
-    u: IntMatrix
+    pivots: tuple
 
     @property
     def rank(self) -> int:
-        return sum(1 for row in self.h.data if any(row))
+        return len(self.pivots)
+
+    def coefficients(self, target: Sequence[int]) -> list | None:
+        """w with w * h = target, or None when target is outside the row space."""
+        w = [0] * self.h.rows
+        t = list(target)
+        for i, (j, row) in enumerate(zip(self.pivots, self.h.data)):
+            c, r = divmod(t[j], row[j])
+            if r:
+                return None
+            if c:
+                w[i] = c
+                for k in range(j, len(t)):
+                    t[k] -= c * row[k]
+        return None if any(t) else w
+
+    def __contains__(self, target) -> bool:
+        return self.coefficients(target) is not None
+
+
+@dataclass(frozen=True)
+class HNFResult(Echelon):
+    u: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -225,6 +262,14 @@ class AbelianInvariants:
             n *= d
         return n
 
+    def __add__(self, other: "AbelianInvariants") -> "AbelianInvariants":
+        """The direct sum: the invariant factors of diag(both torsions)."""
+        both = self.torsion + other.torsion
+        n = len(both)
+        diag = IntMatrix([[d if i == j else 0 for j in range(n)] for i, d in enumerate(both)], cols=n)
+        torsion = tuple(d for d in smith_diagonal(diag) if d > 1)
+        return AbelianInvariants(torsion, self.free_rank + other.free_rank)
+
     def __str__(self):
         parts = [f"Z/{d}" for d in self.torsion]
         if self.free_rank:
@@ -232,42 +277,57 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-class _Worker:
-    """Mutable row-list matrices undergoing simultaneous row/col operations."""
+def _identity_rows(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def __init__(self, m: IntMatrix):
+
+class _Worker:
+    """A mutable row-list matrix s under row and column operations.
+
+    Only the transforms a caller reads are kept, each None otherwise: u
+    records the row operations, v the column operations, and vinv = v^-1,
+    where each column operation on v is the inverse row operation.
+    """
+
+    def __init__(self, m: IntMatrix, u: bool = False, v: bool = False, vinv: bool = False):
         self.rows, self.cols = m.rows, m.cols
         self.s = [list(r) for r in m.data]
-        self.u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-        self.v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
+        self.u = _identity_rows(m.rows) if u else None
+        self.v = _identity_rows(m.cols) if v else None
+        self.vinv = _identity_rows(m.cols) if vinv else None
 
     def swap_rows(self, i, j):
-        self.s[i], self.s[j] = self.s[j], self.s[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
+        for rows in (self.s, self.u):
+            if rows is not None:
+                rows[i], rows[j] = rows[j], rows[i]
 
     def swap_cols(self, i, j):
-        for r in self.s:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v:
-            r[i], r[j] = r[j], r[i]
+        for rows in (self.s, self.v):
+            if rows is not None:
+                for r in rows:
+                    r[i], r[j] = r[j], r[i]
+        if self.vinv is not None:
+            self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
     def addmul_row(self, dst, src, q):
-        srow, urow = self.s[src], self.u[src]
-        d, ud = self.s[dst], self.u[dst]
-        for k in range(self.cols):
-            d[k] += q * srow[k]
-        for k in range(self.rows):
-            ud[k] += q * urow[k]
+        for rows in (self.s, self.u):
+            if rows is not None:
+                rows[dst] = [a + q * b for a, b in zip(rows[dst], rows[src])]
 
     def addmul_col(self, dst, src, q):
-        for r in self.s:
-            r[dst] += q * r[src]
-        for r in self.v:
-            r[dst] += q * r[src]
+        for rows in (self.s, self.v):
+            if rows is not None:
+                for r in rows:
+                    r[dst] += q * r[src]
+        if self.vinv is not None:
+            # column dst of v gains q * column src: row src of v^-1 loses q * row dst
+            vinv = self.vinv
+            vinv[src] = [a - q * b for a, b in zip(vinv[src], vinv[dst])]
 
     def negate_row(self, i):
-        self.s[i] = [-x for x in self.s[i]]
-        self.u[i] = [-x for x in self.u[i]]
+        for rows in (self.s, self.u):
+            if rows is not None:
+                rows[i] = [-x for x in rows[i]]
 
     def _move_min_pivot(self, t: int) -> bool:
         """Swap the minimal-|entry| of the trailing block to (t, t)."""
@@ -325,12 +385,9 @@ class _Worker:
             t += 1
 
 
-def snf(m: IntMatrix) -> SNFResult:
-    """Smith normal form with unimodular transforms: u * m * v = s.
-
-    Diagonal entries are non-negative, satisfy d_1 | d_2 | ..., zeros trail.
-    """
-    w = _Worker(m)
+def _smith(m: IntMatrix, **transforms) -> _Worker:
+    """Diagonalize m into Smith form, keeping the named transforms."""
+    w = _Worker(m, **transforms)
     w.sweep(0)
     limit = min(m.rows, m.cols)
     t = 0
@@ -349,6 +406,15 @@ def snf(m: IntMatrix) -> SNFResult:
         # fold the offending diagonal entry back into the block at t and redo
         w.addmul_col(t, offender, 1)
         w.sweep(t)
+    return w
+
+
+def snf(m: IntMatrix) -> SNFResult:
+    """Smith normal form with unimodular transforms: u * m * v = s.
+
+    Diagonal entries are non-negative, satisfy d_1 | d_2 | ..., zeros trail.
+    """
+    w = _smith(m, u=True, v=True)
     return SNFResult(
         IntMatrix(w.s, cols=m.cols),
         IntMatrix(w.u, cols=m.rows),
@@ -356,15 +422,26 @@ def snf(m: IntMatrix) -> SNFResult:
     )
 
 
-def hnf(m: IntMatrix) -> HNFResult:
-    """Row Hermite normal form: u * m = h, u unimodular.
+def smith_diagonal(m: IntMatrix) -> list[int]:
+    """`snf(m).diagonal()`, computed without the transforms."""
+    s = _smith(m).s
+    return [s[i][i] for i in range(min(m.rows, m.cols))]
 
-    Echelon with positive pivots; entries above each pivot reduced into
-    [0, pivot).  Zero rows sink to the bottom.
+
+def smith_with_vinv(m: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """`snf(m).diagonal()` and the inverse of `snf(m).v`, without u or v."""
+    w = _smith(m, vinv=True)
+    return [w.s[i][i] for i in range(min(m.rows, m.cols))], IntMatrix(w.vinv, cols=m.cols)
+
+
+def _hermite(m: IntMatrix, track_u: bool) -> tuple:
+    """(h, u or None, pivot columns) for the row HNF u * m = h.
+
+    With u tracked, the row operations run on [m | 1] and leave [h | u].
     """
     rows, cols = m.rows, m.cols
-    h = [list(r) for r in m.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    a = [list(r) + (e if track_u else []) for r, e in zip(m.data, _identity_rows(rows))]
+    pivots = []
     r = 0
     for j in range(cols):
         if r == rows:
@@ -373,48 +450,56 @@ def hnf(m: IntMatrix) -> HNFResult:
             pi = -1
             best = None
             for i in range(r, rows):
-                x = h[i][j]
+                x = a[i][j]
                 if x and (best is None or abs(x) < best):
                     best = abs(x)
                     pi = i
             if pi < 0:
                 break
-            if pi != r:
-                h[r], h[pi] = h[pi], h[r]
-                u[r], u[pi] = u[pi], u[r]
+            a[r], a[pi] = a[pi], a[r]
             done = True
-            hr, ur = h[r], u[r]
-            piv = hr[j]
+            ar = a[r]
+            piv = ar[j]
             for i in range(r + 1, rows):
-                x = h[i][j]
+                x = a[i][j]
                 if x:
                     q = x // piv
                     if q:
-                        hi, ui = h[i], u[i]
-                        for k in range(j, cols):
-                            hi[k] -= q * hr[k]
-                        for k in range(rows):
-                            ui[k] -= q * ur[k]
-                    if h[i][j]:
+                        # ar is zero left of column j
+                        a[i] = [y - q * z for y, z in zip(a[i], ar)]
+                    if a[i][j]:
                         done = False
             if done:
                 break
-        if r < rows and h[r][j]:
-            if h[r][j] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
-            piv = h[r][j]
-            hr, ur = h[r], u[r]
+        if r < rows and a[r][j]:
+            if a[r][j] < 0:
+                a[r] = [-x for x in a[r]]
+            ar = a[r]
+            piv = ar[j]
             for i in range(r):
-                q = h[i][j] // piv  # floor puts the entry into [0, piv)
+                q = a[i][j] // piv  # floor puts the entry into [0, piv)
                 if q:
-                    hi, ui = h[i], u[i]
-                    for k in range(cols):
-                        hi[k] -= q * hr[k]
-                    for k in range(rows):
-                        ui[k] -= q * ur[k]
+                    a[i] = [y - q * z for y, z in zip(a[i], ar)]
+            pivots.append(j)
             r += 1
-    return HNFResult(IntMatrix(h, cols=cols), IntMatrix(u, cols=rows))
+    h = IntMatrix([row[:cols] for row in a], cols=cols)
+    return h, [row[cols:] for row in a] if track_u else None, tuple(pivots)
+
+
+def hnf(m: IntMatrix) -> HNFResult:
+    """Row Hermite normal form: u * m = h, u unimodular.
+
+    Echelon with positive pivots; entries above each pivot reduced into
+    [0, pivot).  Zero rows sink to the bottom.
+    """
+    h, u, pivots = _hermite(m, track_u=True)
+    return HNFResult(h, pivots, IntMatrix(u, cols=m.rows))
+
+
+def echelon(m: IntMatrix) -> Echelon:
+    """`hnf(m)` without u: the HNF and its pivots, for membership tests."""
+    h, _, pivots = _hermite(m, track_u=False)
+    return Echelon(h, pivots)
 
 
 def det(m: IntMatrix) -> int:
@@ -477,8 +562,7 @@ def right_kernel_basis(m: IntMatrix) -> IntMatrix:
 
 def cokernel_invariants(m: IntMatrix) -> AbelianInvariants:
     """Invariants of Z^cols / (row space of m)."""
-    res = snf(m)
-    diag = res.diagonal()
+    diag = smith_diagonal(m)
     rank = sum(1 for d in diag if d)
     torsion = tuple(d for d in diag if d > 1)
     return AbelianInvariants(torsion=torsion, free_rank=m.cols - rank)
@@ -486,25 +570,8 @@ def cokernel_invariants(m: IntMatrix) -> AbelianInvariants:
 
 def solve_with_hnf(res: HNFResult, target) -> tuple | None:
     """Solve x * basis = target over Z from the basis's `hnf`, or None."""
-    h, u = res.h, res.u
-    n_rows, n_cols = h.rows, h.cols
-    w = [0] * n_rows
-    t = list(target)
-    for i in range(n_rows):
-        row = h.data[i]
-        j = next((k for k, x in enumerate(row) if x), None)
-        if j is None:
-            break
-        if t[j] % row[j]:
-            return None
-        c = t[j] // row[j]
-        w[i] = c
-        if c:
-            for k in range(j, n_cols):
-                t[k] -= c * row[k]
-    if any(t):
-        return None
-    return u.vecmat(w)
+    w = res.coefficients(target)
+    return None if w is None else res.u.vecmat(w)
 
 
 def solve_left(basis: IntMatrix, target: Sequence[int]) -> tuple | None:
@@ -529,14 +596,13 @@ def express_rows(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix | None:
 
 def row_space_hnf(m: IntMatrix) -> IntMatrix:
     """Canonical (HNF, zero rows dropped) basis of the row space."""
-    res = hnf(m)
-    rows = [r for r in res.h.data if any(r)]
-    return IntMatrix.from_rows(rows, cols=m.cols)
+    e = echelon(m)
+    return IntMatrix.from_rows(e.h.data[: e.rank], cols=m.cols)
 
 
 def is_saturated(basis: IntMatrix) -> bool:
     """True when Z^cols / rowspace(basis) is torsion-free."""
-    diag = snf(basis).diagonal()
+    diag = smith_diagonal(basis)
     return all(d == 1 for d in diag if d != 0) and sum(1 for d in diag if d) == basis.rows
 
 
@@ -548,7 +614,7 @@ def lattice_index(sup: IntMatrix, sub: IntMatrix) -> int | None:
     coords = express_rows(sup, sub)
     if coords is None:
         return None
-    diag = snf(coords).diagonal()
+    diag = smith_diagonal(coords)
     if sum(1 for d in diag if d) < sup.rows:
         return None
     idx = 1

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .exactla import (
     IntMatrix,
     block_diag,
+    echelon,
     express_rows,
     inverse_unimodular,
     is_saturated,
@@ -22,7 +23,8 @@ from .exactla import (
     kron,
     right_kernel_basis,
     row_space_hnf,
-    snf,
+    smith_diagonal,
+    smith_with_vinv,
 )
 from .groups import (
     DIHEDRAL,
@@ -194,9 +196,10 @@ class ExtensionSpec:
         if not is_saturated(inc.transpose()):
             raise LatticeError("inclusion image is not saturated")
         proj = self.projection.matrix
-        if snf(proj).rank != self.quotient.rank:
+        diag = [d for d in smith_diagonal(proj) if d]
+        if len(diag) != self.quotient.rank:
             raise LatticeError("projection is not surjective")
-        if not is_saturated(proj):
+        if any(d != 1 for d in diag):
             raise LatticeError("projection is not surjective onto Z^quotient")
         # image(inclusion) = kernel(projection)
         image = row_space_hnf(inc.transpose())
@@ -360,21 +363,16 @@ class QuotientResult:
 
 def _complete_basis(sub: IntMatrix, rank: int) -> IntMatrix:
     """Extend a saturated row basis to a unimodular rank x rank matrix."""
-    h = row_space_hnf(sub)
-    pivots = []
-    for row in h.data:
-        pivots.append(next(k for k, x in enumerate(row) if x))
+    e = echelon(sub)
     comp = [
-        [1 if j == i else 0 for j in range(rank)] for i in range(rank) if i not in pivots
+        [1 if j == i else 0 for j in range(rank)] for i in range(rank) if i not in e.pivots
     ]
-    cand = h.vstack(IntMatrix.from_rows(comp, cols=rank))
+    cand = IntMatrix.from_rows(e.h.data[: e.rank] + tuple(comp), cols=rank)
     if is_unimodular(cand):
         return cand
-    # fall back to the SNF completion; always works for saturated input
-    res = snf(sub)
-    vinv = inverse_unimodular(res.v)
-    top = res.u * sub  # spans the same row space, in SNF coordinates
-    return top.vstack(IntMatrix.from_rows(vinv.data[sub.rows :], cols=rank))
+    # fall back to the SNF completion u * sub * v = [1 | 0]: u * sub is the
+    # top of v^-1, so v^-1 itself completes the basis
+    return smith_with_vinv(sub)[1]
 
 
 def quotient_with_maps(m: GLattice, sub_basis: IntMatrix) -> QuotientResult:

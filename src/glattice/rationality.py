@@ -13,7 +13,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .exactla import (
     IntMatrix,
@@ -23,7 +26,7 @@ from .exactla import (
     inverse_unimodular,
     right_kernel_basis,
     row_space_hnf,
-    snf,
+    smith_with_vinv,
     solve_with_hnf,
 )
 from .groups import class_by_label, conjugate_subgroup, elements, subgroup_classes
@@ -70,6 +73,7 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 CLASSIFY_RANK_CAP = 6  # explicit search cap on the rank searched inside classify
 QUICK_SP_ATTEMPTS = 10  # iso attempts of classify's quick searches
+PERM_PART_CACHE_SIZE = 64  # (group, class) pairs whose Z[G/S] `_perm_part` keeps
 
 
 # --- fingerprints -------------------------------------------------------------
@@ -95,6 +99,17 @@ class Fingerprint:
             if oa is not None and ob is not None and oa != ob:
                 return f"h1 at {la}"
         return None
+
+    def __add__(self, other: "Fingerprint") -> "Fingerprint":
+        """The fingerprint of the direct sum: fixed rank and Tate cohomology
+        commute with finite direct sums, so every entry adds (H^1 is None
+        when either side lacks it)."""
+        entries = []
+        for (la, fa, ma, za, oa), (lb, fb, mb, zb, ob) in zip(self.entries, other.entries):
+            if la != lb:
+                raise LatticeError("fingerprints over different groups")
+            entries.append((la, fa + fb, ma + mb, za + zb, None if None in (oa, ob) else oa + ob))
+        return Fingerprint(rank=self.rank + other.rank, entries=tuple(entries))
 
 
 _fingerprint_cache: dict = {}
@@ -271,8 +286,25 @@ def permutation_decomposition(m: GLattice) -> list[str] | None:
     return sorted(orbits)
 
 
+class _PermPart(NamedTuple):
+    lattice: GLattice  # Z[G/S] on the coset basis
+    coset_reps: tuple  # the first element of each coset, in basis order
+    fixed: MappingProxyType  # class label -> saturated basis of the lattice's fixed rows
+
+
+@lru_cache(maxsize=PERM_PART_CACHE_SIZE)
+def _perm_part(g, label: str) -> _PermPart:
+    """Z[G/S] for the class S labelled `label`, with the data the search
+    reads from it; all of it depends on the group alone."""
+    cls = class_by_label(g, label)
+    part = perm_lattice(g, cls)
+    fixed = {c.label: fixed_sublattice(part, c) for c in subgroup_classes(g)}
+    # every caller shares the cached value, so it is read-only
+    return _PermPart(part, tuple(c[0] for c in cosets(g, cls)), MappingProxyType(fixed))
+
+
 def perm_from_decomposition(g, labels: list[str]) -> GLattice:
-    parts = [perm_lattice(g, class_by_label(g, lab)) for lab in labels]
+    parts = [_perm_part(g, lab).lattice for lab in labels]
     return direct_sum(*parts) if parts else trivial_lattice(g, 0)
 
 
@@ -295,10 +327,9 @@ def _missing_generator(fixed: IntMatrix, coords: list) -> tuple | None:
     basis.  With U C V = D the SNF of the coordinates, the image is spanned
     by d_i times row i of V^-1, so the first row with d_i != 1 is missing.
     """
-    res = snf(IntMatrix(coords, cols=fixed.rows))
-    diag = res.diagonal()
+    diag, vinv = smith_with_vinv(IntMatrix(coords, cols=fixed.rows))
     missing = [i for i in range(fixed.rows) if i >= len(diag) or diag[i] != 1]
-    return fixed.vecmat(inverse_unimodular(res.v).data[missing[0]]) if missing else None
+    return fixed.vecmat(vinv.data[missing[0]]) if missing else None
 
 
 def flabby_resolution(m: GLattice) -> FlabbyResolution:
@@ -317,20 +348,15 @@ def flabby_resolution(m: GLattice) -> FlabbyResolution:
     classes = sorted(subgroup_classes(g), key=lambda c: -c.order)
     fixed = {c.label: fixed_sublattice(mdual, c) for c in classes}
     fixed_hnf = {label: hnf(f) for label, f in fixed.items()}
-    parts: dict[str, GLattice] = {}
-    part_fixed: dict[tuple, IntMatrix] = {}  # (part label, class label) -> fixed rows
 
     def summand(cls, vec):
         """(label, translates, S-fixed image coordinates per class S)."""
-        if cls.label not in parts:
-            parts[cls.label] = perm_lattice(g, cls)
-            for c in classes:
-                part_fixed[cls.label, c.label] = fixed_sublattice(parts[cls.label], c)
+        part = _perm_part(g, cls.label)
         # the coset basis of Z[G/S] maps to rho(x_i) . vec
-        translates = IntMatrix([mdual.rho(c[0]).matvec(vec) for c in cosets(g, cls)])
+        translates = IntMatrix([mdual.rho(x).matvec(vec) for x in part.coset_reps])
         images = {}
         for c in classes:
-            rows = [translates.vecmat(r) for r in part_fixed[cls.label, c.label].data]
+            rows = [translates.vecmat(r) for r in part.fixed[c.label].data]
             images[c.label] = [solve_with_hnf(fixed_hnf[c.label], row) for row in rows]
             if None in images[c.label]:
                 raise LatticeError("fixed image escaped the fixed sublattice")
@@ -348,7 +374,7 @@ def flabby_resolution(m: GLattice) -> FlabbyResolution:
         rest = [other for other in cover if other is not item]
         if all(gap(cls, rest) is None for cls in classes):
             cover = rest
-    q = direct_sum(*(parts[label] for label, _, _ in cover)) if cover else m
+    q = direct_sum(*(_perm_part(g, label).lattice for label, _, _ in cover)) if cover else m
     # M -> Q is the transpose of Q -> M*, since Q is its own dual (a
     # permutation matrix's inverse is its transpose); the trivial class
     # being covered makes Q -> M* onto
@@ -476,12 +502,20 @@ def stably_permutation(
             iso_map = LatticeMap(padded, wit.rhs, wit.intertwiner)
             return found(iso_map, padding, pad_labels, permutation_decomposition(wit.rhs) or ())
     # generic bounded enumeration: a cheap fingerprint gate (without H^1)
-    # first, a capped number of real searches after
+    # first, a capped number of real searches after.  The gate sums the
+    # fingerprints of M and of the parts, so only a pair that passes it has
+    # its lattices built.
     max_pad = budget.padding_rank_factor * max(m.rank, 1)
     multisets = _perm_multisets(g, m.rank + max_pad)
     targets: dict[int, list] = {}
     for target_labels, t_rank in multisets:
         targets.setdefault(t_rank, []).append(target_labels)
+    part_fp = {
+        c.label: fingerprint(_perm_part(g, c.label).lattice, with_h1=False)
+        for c in subgroup_classes(g)
+    }
+    target_fp: dict[tuple, Fingerprint] = {}
+    m_fp = fingerprint(m, with_h1=False)
     attempts = 0
     for pad_labels, pad_rank in multisets:
         total_rank = m.rank + pad_rank
@@ -489,19 +523,21 @@ def stably_permutation(
             break
         if total_rank == 0:
             continue
-        padding = perm_from_decomposition(g, pad_labels)
-        padded = direct_sum(m, padding)
-        padded_fp = fingerprint(padded, with_h1=False)
+        padded_fp = sum((part_fp[lab] for lab in pad_labels), m_fp)
         for target_labels in targets.get(total_rank, ()):
-            target = perm_from_decomposition(g, list(target_labels))
-            if padded_fp.differs_from(fingerprint(target, with_h1=False)):
+            if target_labels not in target_fp:
+                first, *rest = target_labels
+                target_fp[target_labels] = sum((part_fp[lab] for lab in rest), part_fp[first])
+            if padded_fp.differs_from(target_fp[target_labels]):
                 continue
             attempts += 1
             if attempts > budget.sp_attempts:
                 return StablyPermutationResult(
                     "unknown", detail=f"attempt cap {budget.sp_attempts} hit"
                 )
-            res = iso(padded, target, budget)
+            padding = perm_from_decomposition(g, pad_labels)
+            target = perm_from_decomposition(g, list(target_labels))
+            res = iso(direct_sum(m, padding), target, budget)
             if res:
                 return found(res.witness, padding, pad_labels, target_labels)
     return StablyPermutationResult("unknown", detail="padding budget exhausted")

@@ -259,6 +259,8 @@ class PrincipalityResult:
 
 def principality(ideal: IdealHNF, search_bound: int = 3) -> PrincipalityResult:
     """Look for alpha with (alpha) = ideal; bounded, can only confirm."""
+    if search_bound < 1:
+        raise ValueError(f"search_bound must be at least 1, got {search_bound}")
     if ideal.real_subfield:
         raise NotImplementedError("principality runs over the full cyclotomic ring")
     p = ideal.p

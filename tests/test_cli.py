@@ -162,6 +162,19 @@ def test_steinitz_command(tmp_path):
     assert data["known_trivial"] is True and data["generator"] is not None
 
 
+def test_steinitz_search_bound_below_one_exits_3(tmp_path, capsys):
+    """A bound below 1 would switch the principality search off; it is refused."""
+    ideal = prime_ideal_above(5, 11, factor_cyclotomic_mod(5, 11)[0])
+    lat_path = tmp_path / "i5.json"
+    lat_path.write_text(json.dumps(serialize.lattice_to_json(ideal_cyclic_lattice(ideal))))
+    assert run(["steinitz", "--in", lat_path, "--search-bound", 3]) == 0
+    capsys.readouterr()
+    for bound in (0, -1):
+        assert run(["steinitz", "--in", lat_path, "--search-bound", bound]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "search_bound" in err
+
+
 def _bad_lattices():
     good = serialize.lattice_to_json(build("X", 3))
     return {

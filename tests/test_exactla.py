@@ -16,6 +16,7 @@ from glattice.exactla import (
     block_diag,
     cokernel_invariants,
     det,
+    echelon,
     hnf,
     inverse_unimodular,
     is_saturated,
@@ -178,6 +179,24 @@ def test_cokernel_examples():
     assert cokernel_invariants(IntMatrix([], cols=3)) == AbelianInvariants((), 3)
     # saturated rank-1 row space inside Z^3
     assert cokernel_invariants(IntMatrix([[1, 1, 1]])) == AbelianInvariants((), 2)
+
+
+def test_abelian_invariants_add_as_direct_sums():
+    """a + b is the cokernel of the block sum of two presentations."""
+    rng = random.Random(13)
+    assert AbelianInvariants((2,), 1) + AbelianInvariants((3,), 0) == AbelianInvariants((6,), 1)
+    assert AbelianInvariants((2, 4), 0) + AbelianInvariants((2,), 0) == AbelianInvariants((2, 2, 4), 0)
+    for _ in range(100):
+        ma, mb = (random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), -6, 6) for _ in range(2))
+        summed = cokernel_invariants(ma) + cokernel_invariants(mb)
+        assert summed == cokernel_invariants(block_diag(ma, mb)), (ma, mb)
+
+
+def test_echelon_membership():
+    e = echelon(IntMatrix([[2, 0, 4], [0, 3, 3]]))
+    assert e.pivots == (0, 1) and e.rank == 2
+    assert (2, 3, 7) in e and (4, -3, 5) in e
+    assert (1, 0, 2) not in e and (0, 0, 1) not in e
 
 
 def test_solve_left_roundtrip():

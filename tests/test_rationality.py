@@ -22,9 +22,12 @@ from glattice.lattices import (
 )
 from glattice.catalog import LEE_NAMES, build
 from glattice.cohomology import is_flabby
+from glattice import rationality
 from glattice.rationality import (
+    PERM_PART_CACHE_SIZE,
     Budget,
     _candidate_maker,
+    _perm_part,
     classify,
     decompose_anisotropic,
     extra_variable_count,
@@ -405,6 +408,58 @@ def test_flabby_class_additivity_fingerprints():
                 break
         assert found, (na, nb)
 
+
+def _census_over(g):
+    """The census lattices at p, over D_p or restricted to C_p."""
+    lats = [build(name, g.n) for name in LEE_NAMES]
+    if g.is_dihedral:
+        return lats
+    return [restrict(m, class_by_label(dihedral(g.n), f"C_{g.n}")) for m in lats]
+
+
+@pytest.mark.parametrize("g", [dihedral(3), dihedral(5), dihedral(7), cyclic(5), cyclic(7)],
+                         ids=str)
+def test_summed_fingerprint_equals_the_direct_one(g):
+    """Fixed rank and Tate cohomology commute with direct sums, so the gate of
+    `stably_permutation` may add fingerprints instead of computing them on
+    M + P: each census lattice plus every pair of Z[G/S] parts, with and
+    without H^1."""
+    parts = [perm_lattice(g, c) for c in subgroup_classes(g)]
+    pairs = [(a, b) for i, a in enumerate(parts) for b in parts[i:]]
+    for m in _census_over(g):
+        for with_h1 in (False, True):
+            fp_m = fingerprint(m, with_h1)
+            for a, b in pairs:
+                summed = fp_m + fingerprint(a, with_h1) + fingerprint(b, with_h1)
+                assert summed == fingerprint(direct_sum(m, a, b), with_h1), (g, m, a, b)
+
+
+def test_flabby_resolutions_build_each_part_once(monkeypatch):
+    """Z[G/S] and its fixed rows depend on the group alone: two resolutions
+    over one group build each part once."""
+    built = []
+
+    def counting(g, s):
+        built.append((g, s.label))
+        return perm_lattice(g, s)
+
+    monkeypatch.setattr(rationality, "perm_lattice", counting)
+    _perm_part.cache_clear()
+    res = [flabby_resolution(build(name, 5)) for name in ("Y0", "Y2")]
+    assert all(res[i].summands for i in range(2))
+    assert built and len(built) == len(set(built))
+    assert {label for _, label in built} >= set(res[0].summands) | set(res[1].summands)
+    _perm_part.cache_clear()
+
+
+def test_the_part_cache_is_bounded():
+    _perm_part.cache_clear()
+    assert _perm_part.cache_info().maxsize == PERM_PART_CACHE_SIZE
+    for n in range(1, 31):  # 111 (group, class) pairs
+        for c in subgroup_classes(cyclic(n)):
+            _perm_part(cyclic(n), c.label)
+    assert _perm_part.cache_info().currsize == PERM_PART_CACHE_SIZE
+    _perm_part.cache_clear()
 
 
 def _unimodular(n, rng):

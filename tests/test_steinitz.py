@@ -108,6 +108,13 @@ def test_principality_examples():
     assert found and abs(field_norm(3, found.generator)) == 7
 
 
+def test_principality_refuses_a_bound_below_one():
+    pr = prime_ideal_above(3, 7, factor_cyclotomic_mod(3, 7)[0])
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="search_bound"):
+            principality(pr, search_bound=bound)
+
+
 def test_principality_declines_big_fields():
     b = prime_ideal_above(23, 2, factor_cyclotomic_mod(23, 2)[0])
     assert principality(b).inconclusive

@@ -1,5 +1,6 @@
 """`snf`, `hnf`, `det`, `kron`, `factor_cyclotomic_mod` and `is_prime` against
-sympy, an independent exact implementation."""
+sympy, an independent exact implementation, and the eliminations that skip
+transforms against `snf`, `hnf` and `inverse_unimodular`."""
 
 import random
 
@@ -16,7 +17,17 @@ from sympy import (
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from glattice.cyclotomic import factor_cyclotomic_mod, is_prime
-from glattice.exactla import IntMatrix, det, hnf, kron, snf
+from glattice.exactla import (
+    IntMatrix,
+    det,
+    echelon,
+    hnf,
+    inverse_unimodular,
+    kron,
+    smith_diagonal,
+    smith_with_vinv,
+    snf,
+)
 
 
 def _matrices(seed: int, square: bool):
@@ -83,6 +94,35 @@ def test_hnf_against_sympy_hermite_normal_form():
         assert Matrix(res.u.tolists()).det() in (1, -1), m
         theirs = hermite_normal_form(Matrix(m.tolists()).T)
         assert hermite_normal_form(Matrix(res.h.tolists()).T) == theirs, m
+
+
+def test_smith_diagonal_without_transforms():
+    """Equal to `snf(m).diagonal()` and to sympy's invariant factors."""
+    for m in _matrices(53, square=False):
+        diag = smith_diagonal(m)
+        assert diag == snf(m).diagonal(), m
+        theirs = [int(d) for d in invariant_factors(Matrix(m.tolists()), domain=ZZ) if d]
+        assert [d for d in diag if d] == theirs, m
+
+
+def test_tracked_vinv_is_the_inverse_of_v():
+    """V^-1, kept as the inverse row operations of the sweep, equals
+    `inverse_unimodular(snf(m).v)` entry for entry."""
+    for m in _matrices(59, square=False):
+        diag, vinv = smith_with_vinv(m)
+        res = snf(m)
+        assert diag == res.diagonal(), m
+        assert vinv == inverse_unimodular(res.v), m
+        assert vinv * res.v == IntMatrix.identity(m.cols), m
+
+
+def test_echelon_without_u_equals_hnf():
+    """The U-free HNF equals `hnf(m).h`; its pivots lead the nonzero rows."""
+    for m in _matrices(61, square=False):
+        e, res = echelon(m), hnf(m)
+        assert e.h == res.h and e.pivots == res.pivots, m
+        leads = [next(k for k, x in enumerate(row) if x) for row in res.h.data if any(row)]
+        assert list(e.pivots) == leads, m
 
 
 def _monic_mod(coeffs_high_first, ell: int) -> tuple:
