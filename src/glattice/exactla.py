@@ -3,7 +3,10 @@ block layouts (`block_diag`, `kron`) that lattice constructions assemble from.
 
 Everything here works on arbitrary-precision Python ints; there is no
 floating point anywhere in this module.  Matrices are immutable
-(tuple-of-tuples) so they can be hashed and shared freely.
+(tuple-of-tuples) so they can be hashed and shared freely.  Entries are
+taken as given, never converted: every result here is built by int
+arithmetic, and untrusted input (lattice, ideal and table files) is
+checked to hold JSON integers in `serialize` before it becomes a matrix.
 
 One Smith sweep (`_smith`) and one Hermite sweep (`_hermite`) do every
 elimination, and each routine keeps only the transforms its callers read:
@@ -26,12 +29,16 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major.
+
+    Entries must be Python ints; the constructor checks the shape but
+    neither converts nor type-checks them (`serialize` checks input files).
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(map(tuple, data))
         self.data = rows
         self.rows = len(rows)
         if rows:

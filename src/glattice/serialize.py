@@ -45,7 +45,9 @@ def matrix_from_json(data, cols: int | None = None, what: str = "matrix") -> Int
         raise LatticeError("empty matrix needs an explicit column count")
     if data and cols is not None and len(data[0]) != cols:
         raise LatticeError(f"{what} has {len(data[0])} columns where {cols} were declared")
-    for row in data:
+    for i, row in enumerate(data):
+        if len(row) != len(data[0]):
+            raise LatticeError(f"{what} row {i} has {len(row)} columns where row 0 has {len(data[0])}")
         for x in row:
             if not _is_int(x):
                 raise LatticeError(f"{what} entries must be integers, not {x!r}")
@@ -105,7 +107,10 @@ def invariants_to_json(inv: AbelianInvariants) -> dict:
 
 
 def invariants_from_json(data: dict) -> AbelianInvariants:
-    return AbelianInvariants(tuple(data["torsion"]), int(data["free_rank"]))
+    torsion = _object(data, "invariants", "torsion", "free_rank")["torsion"]
+    if not isinstance(torsion, list) or not all(_is_int(d) for d in torsion):
+        raise LatticeError(f"invariants field 'torsion' must be a list of integers, not {torsion!r}")
+    return AbelianInvariants(tuple(torsion), _int(data, "free_rank", "invariants"))
 
 
 def table_to_json(t: CohomologyTable) -> dict:
@@ -129,10 +134,13 @@ def ideal_to_json(i: IdealHNF) -> dict:
 
 def ideal_from_json(data: dict) -> IdealHNF:
     _object(data, "ideal", "p", "basis")
+    real = data.get("real_subfield", False)
+    if not isinstance(real, bool):
+        raise LatticeError(f"ideal field 'real_subfield' must be true or false, not {real!r}")
     return ideal_from_rows(
         _int(data, "p", "ideal"),
         matrix_from_json(data["basis"], what="ideal basis"),
-        bool(data.get("real_subfield", False)),
+        real,
     )
 
 

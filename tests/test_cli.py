@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON round-trips, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from glattice import serialize
 from glattice.catalog import build
 from glattice.groups import cyclic, dihedral
 from glattice.exactla import AbelianInvariants, IntMatrix
-from glattice.lattices import direct_sum, sign_lattice
+from glattice.lattices import LatticeError, direct_sum, sign_lattice
 from glattice.cyclotomic import factor_cyclotomic_mod, ideal_cyclic_lattice, prime_ideal_above, unit_ideal
 
 
@@ -185,6 +186,10 @@ def _bad_lattices():
         "sigma a number": (dict(good, sigma=5), "sigma must be a JSON list of rows"),
         "sigma null entry": (dict(good, sigma=[[None] * 3] * 3), "sigma entries must be integers"),
         "rank not the width": (dict(good, rank=5), "sigma has 3 columns where 5 were declared"),
+        "ragged sigma": (
+            dict(good, sigma=[[1, 0, 0], [0, 1, 0], [0, 1]]),
+            "sigma row 2 has 2 columns where row 0 has 3",
+        ),
         # JSON numbers that are not integers are refused, never truncated
         "fractional entry": (
             {"group": {"kind": "cyclic", "n": 2}, "rank": 1, "sigma": [[-1.5]]},
@@ -223,6 +228,17 @@ def _bad_lattices():
         "fractional ideal entry": (
             dict(good, annotations={"non_principal_ideal": {"p": 3, "basis": [[1.0]]}}),
             "ideal basis entries must be integers, not 1.0",
+        ),
+        "ragged ideal basis": (
+            dict(good, annotations={"non_principal_ideal": {"p": 3, "basis": [[1, 0], [0]]}}),
+            "ideal basis row 1 has 1 columns where row 0 has 2",
+        ),
+        # the string "false" is not the JSON boolean false
+        "string real_subfield": (
+            dict(good, annotations={"non_principal_ideal": {
+                "p": 5, "real_subfield": "false", "basis": IntMatrix.identity(4).tolists(),
+            }}),
+            "ideal field 'real_subfield' must be true or false, not 'false'",
         ),
         "ideal not an object": (
             dict(good, annotations={"non_principal_ideal": [[1, 0], [0, 1]]}),
@@ -274,6 +290,17 @@ def test_json_roundtrips():
     assert back.group == cyclic(5)
     inv = AbelianInvariants((2, 6), 1)
     assert serialize.invariants_from_json(serialize.invariants_to_json(inv)) == inv
+    for doc, named in (
+        ({"torsion": [2], "free_rank": 1.7}, "invariants field 'free_rank' must be an integer, not 1.7"),
+        ({"torsion": [2], "free_rank": "3"}, "invariants field 'free_rank' must be an integer, not '3'"),
+        ({"torsion": [2.5], "free_rank": 0}, "invariants field 'torsion' must be a list of integers"),
+        ({"torsion": ["2"], "free_rank": 0}, "invariants field 'torsion' must be a list of integers"),
+        ({"torsion": [True], "free_rank": 0}, "invariants field 'torsion' must be a list of integers"),
+        ({"torsion": 2, "free_rank": 0}, "invariants field 'torsion' must be a list of integers"),
+        ({"torsion": []}, "invariants lacks the field 'free_rank'"),
+    ):
+        with pytest.raises(LatticeError, match=re.escape(named)):
+            serialize.invariants_from_json(doc)
     ideal = prime_ideal_above(5, 2, factor_cyclotomic_mod(5, 2)[0])
     assert serialize.ideal_from_json(serialize.ideal_to_json(ideal)) == ideal
     from glattice.steinitz import default_class_table

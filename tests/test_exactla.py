@@ -17,14 +17,17 @@ from glattice.exactla import (
     cokernel_invariants,
     det,
     echelon,
+    express_rows,
     hnf,
     inverse_unimodular,
     is_saturated,
     is_unimodular,
     kernel_basis,
+    kron,
     lattice_index,
     right_kernel_basis,
     row_space_hnf,
+    smith_with_vinv,
     snf,
     solve_left,
 )
@@ -422,6 +425,26 @@ def test_hnf_is_idempotent(r, c, data):
     again = hnf(h)
     assert again.h == h
     assert again.u == IntMatrix.identity(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.data())
+def test_results_hold_plain_ints(r, c, k, data):
+    """IntMatrix converts no entry, so every result must be built of ints alone."""
+    a, b = data.draw(_operand(r, c)), data.draw(_operand(r, c))
+    square = data.draw(_operand(c, c))
+    s, h = snf(a), hnf(a)
+    diagonal, vinv = smith_with_vinv(a)
+    vectors = data.draw(_operand(k, r)) * a
+    coords = express_rows(a, vectors)
+    assert coords is not None and coords * a == vectors
+    results = [
+        a * square, a * data.draw(_ENTRY), a + b, a - b, a.transpose(), kron(a, b), block_diag(a, b),
+        s.s, s.u, s.v, h.h, h.u, echelon(a).h, vinv, inverse_unimodular(h.u),
+        kernel_basis(a), coords,
+    ]
+    entries = [x for m in results for row in m.data for x in row] + diagonal
+    assert all(type(x) is int for x in entries)
 
 
 def _unit_triangular(rng, n: int, lower: bool) -> IntMatrix:
