@@ -1,93 +1,83 @@
 """Tate cohomology of G-lattices over subgroups, Ext^1, flabbiness tests.
 
-H^-1 and H^0 come straight from norm kernels and fixed sublattices.  H^1
-comes from a presentation of the subgroup S.  A 1-cocycle f is fixed by
+Every group read here is a quotient L/B of a kernel L by a sublattice B of
+the same rank:
+
+    H^-1(S, M) = ker N_S / I_S.M,    H^0(S, M) = M^S / N_S.M,
+    H^1(S, M) = Z^1 / B^1.
+
+A kernel is saturated, so Z^n/L is free and Z^n/B = L/B + Z^n/L; L/B is
+finite (|S| kills it), so it is the torsion of Z^n/B: the invariant factors
+> 1 of one Smith diagonal of B's generators, with no basis of L, no Hermite
+transform and no solve.  I_S.M is spanned by the columns of rho(g) - 1 over
+the presentation generators g of S, since (gh - 1)m = (g - 1)(hm) + (h - 1)m;
+N_S.M by the columns of N_S.  N_S.M has finite index in M^S, so
+rank M^S = rank N_S = trace(N_S) / |S|.
+
+H^1 comes from a presentation of the subgroup S.  A 1-cocycle f is fixed by
 a = f(s) and b = f(t) (f(xy) = f(x) + x.f(y)), and by Fox's free differential
 calculus (Fox, Ann. of Math. 57, 1953; Brown, Cohomology of Groups, GTM 87)
 each relator of <s, t | s^d, t^2, (ts)^2> gives one equation:
 
     N_s a = 0,    (1 + t) b = 0,    (1 + ts)(b + t a) = 0,
 
-3 * rank equations in 2 * rank unknowns.  The coboundaries are
-((s - 1)m, (t - 1)m).  A cyclic S = <s | s^d> keeps only the first equation,
-so H^1 = ker N_s / im(s - 1).
+3 * rank equations in 2 * rank unknowns.  Z^1, their solutions, is a kernel
+inside M^2, and B^1 is spanned by the coboundaries ((s - 1)m, (t - 1)m), the
+rows of [(s - 1)^T | (t - 1)^T].  A cyclic S = <s | s^d> keeps only the first
+equation and B^1 is spanned by the rows of (s - 1)^T, whose Smith diagonal is
+H^-1's: H^1 = H^-1 for a cyclic S.
 
-Cocycles are handled in these (f(s), f(t)) coordinates throughout; only
-`one_cocycles` extends them to every element of S, for callers that need f
-everywhere.
+Cocycles themselves, the Z^1 basis from `_fox_system`, are built only for
+callers that need them: `catalog._noncoboundary_cocycle` in (f(s), f(t))
+coordinates and `one_cocycles`, which extends them to every element of S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import (
-    AbelianInvariants,
-    IntMatrix,
-    cokernel_invariants,
-    express_rows,
-    kernel_basis,
-    right_kernel_basis,
-)
+from .exactla import AbelianInvariants, IntMatrix, kernel_basis, smith_diagonal
 from .groups import GroupElement, SubgroupClass, full_class, mul, subgroup_classes
 from .lattices import (
     GLattice,
     LatticeError,
     _matrix_sum,
-    fixed_sublattice,
     hom_lattice,
+    is_cyclic,
     presentation_generators,
 )
 
-_ZERO = AbelianInvariants((), 0)
+
+def _torsion(b: IntMatrix) -> AbelianInvariants:
+    """L/B for B spanned by the rows (or the columns) of b inside a saturated
+    L of the same rank: the invariant factors of b above 1."""
+    return AbelianInvariants(tuple(d for d in smith_diagonal(b) if d > 1), 0)
 
 
-def _invariants_of_submodule(kernel_rows: IntMatrix, generators: list) -> AbelianInvariants:
-    """Invariants of span(kernel_rows) / span(generators)."""
-    if kernel_rows.rows == 0:
-        return _ZERO
-    gen_matrix = IntMatrix.from_rows(generators, cols=kernel_rows.cols)
-    coords = express_rows(kernel_rows, gen_matrix)
-    if coords is None:
-        raise LatticeError("submodule generators escape the kernel")
-    return cokernel_invariants(coords)
-
-
-def tate_hminus1(
-    m: GLattice, s: SubgroupClass, norm: IntMatrix | None = None
-) -> AbelianInvariants:
-    """ker(N_S) / I_S.M with N_S the subgroup norm (`m.norm_matrix(s)` unless given).
-
-    I_S.M is spanned by (g - 1)M over the generators g of S alone, since
-    (gh - 1)m = (g - 1)(hm) + (h - 1)m.
-    """
-    if norm is None:
-        norm = m.norm_matrix(s)
-    kernel = right_kernel_basis(norm)
+def _generators_minus_one(m: GLattice, s: SubgroupClass) -> tuple:
+    """(rho(s) - 1, rho(t) - 1) on the presentation generators of S; the
+    second is None when S is cyclic."""
+    gen, refl = presentation_generators(s)
     ident = IntMatrix.identity(m.rank)
-    gens = []
-    for a in presentation_generators(s):
-        if a is None or a.is_identity:
-            continue
-        diff = m.rho(a) - ident
-        gens.extend(diff.transpose().data)  # columns of (rho(a) - 1)
-    return _invariants_of_submodule(kernel, gens)
+    return m.rho(gen) - ident, None if refl is None else m.rho(refl) - ident
 
 
-def tate_h0(
-    m: GLattice,
-    s: SubgroupClass,
-    norm: IntMatrix | None = None,
-    fixed: IntMatrix | None = None,
-) -> AbelianInvariants:
-    """M^S / N_S.M with N_S the subgroup norm (`m.norm_matrix(s)` unless given)
-    and M^S the fixed sublattice (`fixed_sublattice(m, s)` unless given)."""
-    if fixed is None:
-        fixed = fixed_sublattice(m, s)
-    if norm is None:
-        norm = m.norm_matrix(s)
-    gens = list(norm.transpose().data)
-    return _invariants_of_submodule(fixed, gens)
+def tate_hminus1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
+    """ker(N_S) / I_S.M, I_S.M spanned by the columns of [s - 1 | t - 1]."""
+    ds, dt = _generators_minus_one(m, s)
+    return _torsion(ds if dt is None else ds.hstack(dt))
+
+
+def tate_h0(m: GLattice, s: SubgroupClass, norm: IntMatrix | None = None) -> AbelianInvariants:
+    """M^S / N_S.M with N_S the subgroup norm (`m.norm_matrix(s)` unless given)."""
+    return _torsion(m.norm_matrix(s) if norm is None else norm)
+
+
+def h1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
+    """Z^1 / B^1 on the presentation of S, B^1 spanned by the columns of
+    [s - 1; t - 1] (the rows of [(s - 1)^T | (t - 1)^T])."""
+    ds, dt = _generators_minus_one(m, s)
+    return _torsion(ds if dt is None else ds.vstack(dt))
 
 
 def _add(u, v) -> list:
@@ -120,11 +110,6 @@ def _fox_system(m: GLattice, s: SubgroupClass):
     rows += [zero + b + c for b, c in zip((ident + t_t).data, c_t.data)]
     boundaries = [u + v for u, v in zip((s_t - ident).data, (t_t - ident).data)]
     return kernel_basis(IntMatrix(rows, cols=3 * m.rank)), boundaries
-
-
-def h1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
-    """H^1(S, M) = Z^1 / B^1 on the presentation of S."""
-    return _invariants_of_submodule(*_fox_system(m, s))
 
 
 @dataclass(frozen=True)
@@ -222,6 +207,6 @@ class CohomologyTable:
 def cohomology_table(m: GLattice, lattice_id: str = "") -> CohomologyTable:
     rows = []
     for cls in subgroup_classes(m.group):
-        norm = m.norm_matrix(cls)
-        rows.append((cls.label, tate_hminus1(m, cls, norm), tate_h0(m, cls, norm), h1(m, cls)))
+        hm1 = tate_hminus1(m, cls)
+        rows.append((cls.label, hm1, tate_h0(m, cls), hm1 if is_cyclic(cls) else h1(m, cls)))
     return CohomologyTable(lattice_id=lattice_id, entries=tuple(rows))

@@ -16,8 +16,10 @@ elimination, and each routine keeps only the transforms its callers read:
   `is_saturated`, `lattice_index` and `AbelianInvariants.__add__`.
 - `smith_with_vinv`: the diagonal and v^-1, tracked as the inverse row
   operation of every column operation on v.
-- `hnf`: h, its pivot columns and u, for `solve_with_hnf`, `express_rows`,
-  `kernel_basis` and `inverse_unimodular`.
+- `hnf`: h, its pivot columns and u, for `solve_with_hnf`, `express_rows`
+  and `inverse_unimodular`.
+- `kernel_basis`: the rows of u from the rank down, from a sweep that
+  neither normalizes nor reduces the pivot rows above them.
 - `echelon`: h and its pivot columns without u, for `row_space_hnf` and
   membership tests.
 """
@@ -441,10 +443,14 @@ def smith_with_vinv(m: IntMatrix) -> tuple[list[int], IntMatrix]:
     return [w.s[i][i] for i in range(min(m.rows, m.cols))], IntMatrix(w.vinv, cols=m.cols)
 
 
-def _hermite(m: IntMatrix, track_u: bool) -> tuple:
+def _hermite(m: IntMatrix, track_u: bool, reduce: bool = True) -> tuple:
     """(h, u or None, pivot columns) for the row HNF u * m = h.
 
     With u tracked, the row operations run on [m | 1] and leave [h | u].
+    Without `reduce` each pivot row is left as elimination leaves it: no
+    sign fix, no reduction of the rows above it.  Those steps only rewrite
+    rows above the current pivot, which never eliminate a row below it, so
+    the rows from the rank down, and the pivots, are the same either way.
     """
     rows, cols = m.rows, m.cols
     a = [list(r) + (e if track_u else []) for r, e in zip(m.data, _identity_rows(rows))]
@@ -465,28 +471,31 @@ def _hermite(m: IntMatrix, track_u: bool) -> tuple:
                 break
             a[r], a[pi] = a[pi], a[r]
             done = True
-            ar = a[r]
-            piv = ar[j]
+            tail = a[r][j:]
+            piv = tail[0]
             for i in range(r + 1, rows):
-                x = a[i][j]
+                ai = a[i]
+                x = ai[j]
                 if x:
                     q = x // piv
                     if q:
-                        # ar is zero left of column j
-                        a[i] = [y - q * z for y, z in zip(a[i], ar)]
-                    if a[i][j]:
+                        # rows r and below are zero left of column j
+                        ai[j:] = [y - q * z for y, z in zip(ai[j:], tail)]
+                    if ai[j]:
                         done = False
             if done:
                 break
         if r < rows and a[r][j]:
-            if a[r][j] < 0:
-                a[r] = [-x for x in a[r]]
-            ar = a[r]
-            piv = ar[j]
-            for i in range(r):
-                q = a[i][j] // piv  # floor puts the entry into [0, piv)
-                if q:
-                    a[i] = [y - q * z for y, z in zip(a[i], ar)]
+            if reduce:
+                if a[r][j] < 0:
+                    a[r][j:] = [-x for x in a[r][j:]]
+                tail = a[r][j:]
+                piv = tail[0]
+                for i in range(r):
+                    ai = a[i]
+                    q = ai[j] // piv  # floor puts the entry into [0, piv)
+                    if q:
+                        ai[j:] = [y - q * z for y, z in zip(ai[j:], tail)]
             pivots.append(j)
             r += 1
     h = IntMatrix([row[:cols] for row in a], cols=cols)
@@ -555,11 +564,10 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Saturated row basis of the left kernel {x : x * m = 0}."""
-    res = hnf(m)
-    rank = res.rank
-    rows = [res.u.data[i] for i in range(rank, m.rows)]
-    return IntMatrix.from_rows(rows, cols=m.rows)
+    """Saturated row basis of the left kernel {x : x * m = 0}: the rows of
+    `hnf(m).u` from the rank down, from an unreduced Hermite sweep."""
+    _, u, pivots = _hermite(m, track_u=True, reduce=False)
+    return IntMatrix.from_rows(u[len(pivots):], cols=m.rows)
 
 
 def right_kernel_basis(m: IntMatrix) -> IntMatrix:

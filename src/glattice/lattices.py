@@ -325,6 +325,11 @@ def presentation_generators(s: SubgroupClass) -> tuple:
     return gen, min(reflections, key=lambda a: a.rot)
 
 
+def is_cyclic(s: SubgroupClass) -> bool:
+    """True when `presentation_generators` gives S a single generator."""
+    return presentation_generators(s)[1] is None
+
+
 def restrict(m: GLattice, s: SubgroupClass) -> GLattice:
     """The same Z^rank viewed as a lattice over the subgroup, on the
     generators chosen by `presentation_generators`."""

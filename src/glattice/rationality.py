@@ -39,6 +39,7 @@ from .lattices import (
     direct_sum,
     dual,
     fixed_sublattice,
+    is_cyclic,
     perm_lattice,
     quotient_with_maps,
     trivial_lattice,
@@ -122,12 +123,12 @@ def fingerprint(m: GLattice, with_h1: bool = True) -> Fingerprint:
         return cached
     entries = []
     for cls in subgroup_classes(m.group):
-        fixed = fixed_sublattice(m, cls)
         norm = m.norm_matrix(cls)
-        hm1 = tate_hminus1(m, cls, norm)
-        h0 = tate_h0(m, cls, norm, fixed)
-        h1v = h1(m, cls) if with_h1 else None
-        entries.append((cls.label, fixed.rows, hm1, h0, h1v))
+        # N_S / |S| projects M (x) Q onto the fixed space: rank M^S = trace(N_S) / |S|
+        fixed_rank = sum(norm.data[i][i] for i in range(m.rank)) // cls.order
+        hm1 = tate_hminus1(m, cls)
+        h1v = (hm1 if is_cyclic(cls) else h1(m, cls)) if with_h1 else None
+        entries.append((cls.label, fixed_rank, hm1, tate_h0(m, cls, norm), h1v))
     fp = Fingerprint(rank=m.rank, entries=tuple(entries))
     _fingerprint_cache[key] = fp
     return fp

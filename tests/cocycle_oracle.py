@@ -1,5 +1,12 @@
-"""The all-elements cocycle route, kept as an oracle for
-`catalog._noncoboundary_cocycle` and `catalog._nonsplit_extension`.
+"""The kernel-quotient route to Tate cohomology and the all-elements cocycle
+route, kept as oracles for `cohomology` and `catalog`.
+
+`_invariants_of_submodule` reads L/B the long way: a saturated basis of the
+kernel L, the coordinates of every generator of B in it (raising when one
+escapes L), and the Smith form of those coordinates.  `oracle_hminus1`,
+`oracle_h0` and `oracle_h1` apply it to ker N_S / I_S.M, M^S / N_S.M (M^S
+from `fixed_sublattice`) and Z^1 / B^1 (Z^1 from `oracle_fox_system`); the
+library reads each group off one Smith diagonal of B's generators instead.
 
 `oracle_fox_system` builds Fox's equation matrix one basis vector at a time
 (what unknown e_j contributes to N_s, 1 + t and (1 + ts)(b + ta)), the way
@@ -11,10 +18,58 @@ library works in (f(sigma), f(tau)) coordinates from the start; both must
 pick the same cocycle and build the same sigma and tau.
 """
 
-from glattice.exactla import IntMatrix, hnf, kernel_basis, solve_with_hnf
+from glattice.exactla import (
+    AbelianInvariants,
+    IntMatrix,
+    cokernel_invariants,
+    express_rows,
+    hnf,
+    kernel_basis,
+    right_kernel_basis,
+    solve_with_hnf,
+)
 from glattice.groups import GroupElement, full_class
-from glattice.lattices import GLattice, LatticeError, hom_lattice, restrict
+from glattice.lattices import (
+    GLattice,
+    LatticeError,
+    fixed_sublattice,
+    hom_lattice,
+    presentation_generators,
+    restrict,
+)
 from glattice.cohomology import one_cocycles
+
+
+def _invariants_of_submodule(kernel_rows, generators):
+    """Invariants of span(kernel_rows) / span(generators)."""
+    if kernel_rows.rows == 0:
+        return AbelianInvariants((), 0)
+    gen_matrix = IntMatrix.from_rows(generators, cols=kernel_rows.cols)
+    coords = express_rows(kernel_rows, gen_matrix)
+    if coords is None:
+        raise LatticeError("submodule generators escape the kernel")
+    return cokernel_invariants(coords)
+
+
+def oracle_hminus1(m, s):
+    """ker(N_S) / I_S.M, I_S.M spanned by (g - 1)M over the generators of S."""
+    ident = IntMatrix.identity(m.rank)
+    gens = []
+    for a in presentation_generators(s):
+        if a is not None:
+            gens.extend((m.rho(a) - ident).transpose().data)
+    return _invariants_of_submodule(right_kernel_basis(m.norm_matrix(s)), gens)
+
+
+def oracle_h0(m, s):
+    """M^S / N_S.M with M^S the saturated fixed sublattice."""
+    return _invariants_of_submodule(fixed_sublattice(m, s), m.norm_matrix(s).transpose().data)
+
+
+def oracle_h1(m, s):
+    """Z^1 / B^1 from the per-basis-vector Fox system."""
+    cocycles, boundaries = oracle_fox_system(m, s)
+    return _invariants_of_submodule(cocycles, boundaries)
 
 
 def _act(mat, v):

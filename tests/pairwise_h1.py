@@ -6,9 +6,10 @@ presentation.  The library computes H^1 from the subgroup's presentation
 instead; the tests compare the two.
 """
 
-from glattice.cohomology import CocycleSpace, _invariants_of_submodule
+from glattice.cohomology import CocycleSpace
 from glattice.exactla import IntMatrix, right_kernel_basis
 from glattice.groups import mul
+from cocycle_oracle import _invariants_of_submodule
 
 
 class _SparseEchelon:

@@ -309,7 +309,7 @@ def test_json_roundtrips():
     assert serialize.class_table_from_json(serialize.class_table_to_json(table)) == table
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_table_matches_golden(tmp_path, p):
     import os
     from pathlib import Path

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glattice.exactla import (
     AbelianInvariants,
@@ -26,9 +27,9 @@ from glattice.groups import (
     trivial_class,
 )
 from glattice.catalog import LEE_NAMES, _noncoboundary_cocycle, _nonsplit_extension, build
+from glattice.rationality import fingerprint
 from glattice.cohomology import (
     _fox_system,
-    _invariants_of_submodule,
     cohomology_table,
     ext1,
     h1,
@@ -43,6 +44,7 @@ from glattice.lattices import (
     LatticeError,
     direct_sum,
     dual,
+    fixed_sublattice,
     hom_lattice,
     induce,
     perm_lattice,
@@ -52,7 +54,14 @@ from glattice.lattices import (
     sign_lattice,
     trivial_lattice,
 )
-from cocycle_oracle import oracle_fox_system, oracle_nonsplit_extension
+from cocycle_oracle import (
+    _invariants_of_submodule,
+    oracle_fox_system,
+    oracle_h0,
+    oracle_h1,
+    oracle_hminus1,
+    oracle_nonsplit_extension,
+)
 from pairwise_h1 import pairwise_cocycles, pairwise_h1
 
 Z2 = AbelianInvariants((2,), 0)
@@ -184,7 +193,9 @@ def _hminus1_all_elements(m, s):
     return _invariants_of_submodule(right_kernel_basis(norm), gens)
 
 
-def test_hminus1_on_generators_equals_all_elements():
+def _tate_cases():
+    """Census classes at p = 3, 5, 7, every subgroup of D_9 on one sum, and
+    seeded Hom lattices."""
     cases = []
     for p in (3, 5, 7):
         for name in LEE_NAMES:
@@ -200,12 +211,71 @@ def test_hminus1_on_generators_equals_all_elements():
         hom = hom_lattice(top, bottom)
         cases += [(hom, s) for s in subgroup_classes(hom.group)]
     assert len(cases) == 176  # 120 census, 16 subgroups of D_9, 40 Hom
+    return cases
+
+
+def test_hminus1_on_generators_equals_all_elements():
+    cases = _tate_cases()
     nontrivial = 0
     for lat, s in cases:
         got = tate_hminus1(lat, s)
         assert got == _hminus1_all_elements(lat, s), (lat, s.label)
         nontrivial += not got.is_trivial
     assert nontrivial >= 30
+
+
+def test_h0_and_fixed_ranks_equal_the_kernel_quotient():
+    """H^0 from N_S's Smith diagonal and the fingerprint's fixed rank
+    trace(N_S) / |S| against M^S / N_S.M on `fixed_sublattice`."""
+    cases = _tate_cases()
+    for p in (3, 5, 7):
+        csig = class_by_label(dihedral(p), f"C_{p}")
+        for name in LEE_NAMES:
+            lat = restrict(build(name, p), csig)
+            cases += [(lat, s) for s in subgroup_classes(lat.group)]
+    assert len(cases) == 236  # 176 and 60 over C_p
+    nontrivial = 0
+    for lat, s in cases:
+        got = tate_h0(lat, s)
+        assert got == oracle_h0(lat, s), (lat, s.label)
+        nontrivial += not got.is_trivial
+    assert nontrivial >= 30
+    for lat in {lat for lat, _ in cases}:
+        fixed = [(s.label, fixed_sublattice(lat, s).rows) for s in subgroup_classes(lat.group)]
+        assert [entry[:2] for entry in fingerprint(lat).entries] == fixed, lat
+
+
+@st.composite
+def _conjugated(draw):
+    """A census lattice at p = 3 or 5, or a sum of two at p = 3, as
+    P.rho.P^-1 for P a drawn product of elementary row moves."""
+    p = draw(st.sampled_from((3, 5)))
+    names = draw(st.lists(st.sampled_from(LEE_NAMES), min_size=1, max_size=1 if p == 5 else 2))
+    lat = direct_sum(*(build(name, p) for name in names))
+    n = lat.rank
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, c in draw(st.lists(moves, max_size=3 * n)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    u = IntMatrix(rows, cols=n)
+    u_inv = inverse_unimodular(u)
+    if draw(st.booleans()):
+        lat = restrict(lat, class_by_label(lat.group, f"C_{p}"))
+    tau = None if lat.tau is None else u * lat.tau * u_inv
+    return lat, GLattice(lat.group, u * lat.sigma * u_inv, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugated())
+def test_tate_groups_of_conjugated_lattices_equal_the_oracle(pair):
+    """Each group from one Smith diagonal against the kernel-quotient oracle,
+    which raises unless B lies in L, on a lattice in a drawn basis."""
+    lat, conj = pair
+    for s in subgroup_classes(lat.group):
+        for fn, oracle in ((tate_hminus1, oracle_hminus1), (tate_h0, oracle_h0), (h1, oracle_h1)):
+            got = fn(conj, s)
+            assert got == oracle(conj, s) == fn(lat, s), (fn.__name__, s.label)
 
 
 def test_one_cocycles_satisfy_the_cocycle_rule():

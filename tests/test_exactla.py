@@ -427,6 +427,21 @@ def test_hnf_is_idempotent(r, c, data):
     assert again.u == IntMatrix.identity(r)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.data())
+def test_kernel_basis_is_the_tail_of_hnf_u(r, k, c, data):
+    """kernel_basis skips the sign fix and the reduction above each pivot;
+    the rows of `hnf(m).u` from the rank down are the same.  A product
+    through k columns has rank at most k, and the scalar makes every pivot
+    a multiple of it."""
+    scale = data.draw(st.sampled_from((1, 2, -3, 6)))
+    m = data.draw(_operand(r, k)) * data.draw(_operand(k, c)) * scale
+    res = hnf(m)
+    kernel = kernel_basis(m)
+    assert kernel.data == res.u.data[res.rank :]
+    assert kernel.cols == r and kernel * m == IntMatrix.zero(kernel.rows, c)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.data())
 def test_results_hold_plain_ints(r, c, k, data):

@@ -21,8 +21,8 @@ from glattice.lattices import (
     zero_lattice,
 )
 from glattice.catalog import LEE_NAMES, build
-from glattice.cohomology import is_flabby
-from glattice import rationality
+from glattice.cohomology import cohomology_table, is_flabby
+from glattice import cohomology, rationality
 from glattice.rationality import (
     PERM_PART_CACHE_SIZE,
     Budget,
@@ -65,6 +65,24 @@ def test_fingerprint_h1_bound_follows_the_fox_system():
     assert lat.rank == 40
     assert all(h1v is not None for *_, h1v in fingerprint(lat).entries)
     assert all(h1v is None for *_, h1v in fingerprint(lat, with_h1=False).entries)
+
+
+def test_tate_groups_build_no_kernel_and_no_hermite_transform(monkeypatch):
+    """cohomology_table and fingerprint read every group off Smith diagonals:
+    no kernel basis, Hermite form, solve or fixed sublattice is built."""
+    census = [(name, build(name, 5)) for name in LEE_NAMES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Tate group built a kernel or a Hermite form")
+
+    for module in (cohomology, rationality):
+        for name in ("hnf", "kernel_basis", "express_rows", "fixed_sublattice"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(rationality, "_fingerprint_cache", {})
+    for name, lat in census:
+        table = cohomology_table(lat, name)
+        fp = fingerprint(lat)
+        assert [entry[2:] for entry in fp.entries] == [entry[1:] for entry in table.entries]
 
 
 def test_census_pairwise_distinct():
