@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import _fox_system
+from .cohomology import coboundary_matrix
 from .cyclotomic import conj_matrix, elem_mul, eta_power_rows, is_prime, mult_matrix, reduce_poly
 from .exactla import (
     IntMatrix,
     block_diag,
     det,
-    echelon,
     express_rows,
     is_unimodular,
     row_space_hnf,
+    smith_with_vinv,
 )
 from .groups import class_by_label, dihedral, full_class
 from .lattices import (
@@ -434,13 +434,14 @@ def _noncoboundary_cocycle(bottom: GLattice, top: GLattice) -> tuple:
     """A 1-cocycle G -> Hom(top, bottom) whose class is nonzero, as its values
     (f(sigma), f(tau)) on the generators (f(sigma) alone over C_n).
 
-    A cocycle is fixed by those values, so the first Z^1 row of `h1`'s Fox
-    system outside the span of the B^1 generators (one HNF) is the answer.
+    Those values are the coordinates of `cohomology.coboundary_matrix`; in
+    the basis v^-1 from its Smith form B^1 is spanned by d_i times row i,
+    so the first row with d_i > 1 is a cocycle outside B^1.
     """
-    cocycles, boundaries = _fox_system(hom_lattice(top, bottom), full_class(bottom.group))
-    span = echelon(IntMatrix.from_rows(boundaries, cols=cocycles.cols))
-    for row in cocycles.data:
-        if row not in span:
+    hom = hom_lattice(top, bottom)
+    diagonal, vinv = smith_with_vinv(coboundary_matrix(hom, full_class(bottom.group)))
+    for d, row in zip(diagonal, vinv.data):
+        if d > 1:
             return row
     raise LatticeError("every cocycle is a coboundary; extension would split")
 

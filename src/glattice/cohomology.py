@@ -14,38 +14,31 @@ the presentation generators g of S, since (gh - 1)m = (g - 1)(hm) + (h - 1)m;
 N_S.M by the columns of N_S.  N_S.M has finite index in M^S, so
 rank M^S = rank N_S = trace(N_S) / |S|.
 
-H^1 comes from a presentation of the subgroup S.  A 1-cocycle f is fixed by
-a = f(s) and b = f(t) (f(xy) = f(x) + x.f(y)), and by Fox's free differential
-calculus (Fox, Ann. of Math. 57, 1953; Brown, Cohomology of Groups, GTM 87)
-each relator of <s, t | s^d, t^2, (ts)^2> gives one equation:
+H^1 comes from a presentation <s, t | s^d, t^2, (ts)^2> of the subgroup S.
+A 1-cocycle f is fixed by a = f(s) and b = f(t) (f(xy) = f(x) + x.f(y)), and
+B^1 is spanned by the coboundaries ((s - 1)m, (t - 1)m), the rows of
+`coboundary_matrix` [(s - 1)^T | (t - 1)^T].  A cyclic S = <s | s^d> keeps
+the rows of (s - 1)^T, the transpose of H^-1's matrix: H^1 = H^-1 for a
+cyclic S.
 
-    N_s a = 0,    (1 + t) b = 0,    (1 + ts)(b + t a) = 0,
-
-3 * rank equations in 2 * rank unknowns.  Z^1, their solutions, is a kernel
-inside M^2, and B^1 is spanned by the coboundaries ((s - 1)m, (t - 1)m), the
-rows of [(s - 1)^T | (t - 1)^T].  A cyclic S = <s | s^d> keeps only the first
-equation and B^1 is spanned by the rows of (s - 1)^T, whose Smith diagonal is
-H^-1's: H^1 = H^-1 for a cyclic S.
-
-Cocycles themselves, the Z^1 basis from `_fox_system`, are built only for
-callers that need them: `catalog._noncoboundary_cocycle` in (f(s), f(t))
-coordinates and `one_cocycles`, which extends them to every element of S.
+Z^1 is the kernel of the relators' Fox derivatives inside M^2 (M for a
+cyclic S; Fox, Ann. of Math. 57, 1953; Brown, Cohomology of Groups, GTM 87,
+IV.2), so it is saturated, and |S| kills H^1, so Z^1 has the rank of B^1:
+Z^1 is the saturation of B^1, and no equation system is built.  With
+u B v = diag(d_i), the rows of v^-1 are a basis of the coordinate space and
+B^1 is spanned by d_i times row i, so the rows with d_i != 0 span Z^1 and
+each with d_i > 1 is a cocycle outside B^1.  Cocycles are read this way only for the callers that
+need them: `catalog._noncoboundary_cocycle` in (f(s), f(t)) coordinates and
+`one_cocycles`, which extends them to every element of S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import AbelianInvariants, IntMatrix, kernel_basis, smith_diagonal
+from .exactla import AbelianInvariants, IntMatrix, smith_diagonal, smith_with_vinv
 from .groups import GroupElement, SubgroupClass, full_class, mul, subgroup_classes
-from .lattices import (
-    GLattice,
-    LatticeError,
-    _matrix_sum,
-    hom_lattice,
-    is_cyclic,
-    presentation_generators,
-)
+from .lattices import GLattice, LatticeError, hom_lattice, is_cyclic, presentation_generators
 
 
 def _torsion(b: IntMatrix) -> AbelianInvariants:
@@ -73,43 +66,20 @@ def tate_h0(m: GLattice, s: SubgroupClass, norm: IntMatrix | None = None) -> Abe
     return _torsion(m.norm_matrix(s) if norm is None else norm)
 
 
-def h1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
-    """Z^1 / B^1 on the presentation of S, B^1 spanned by the columns of
-    [s - 1; t - 1] (the rows of [(s - 1)^T | (t - 1)^T])."""
+def coboundary_matrix(m: GLattice, s: SubgroupClass) -> IntMatrix:
+    """B^1's generators in (f(s), f(t)) coordinates: the rows of
+    [(s - 1)^T | (t - 1)^T], or of (s - 1)^T for a cyclic S."""
     ds, dt = _generators_minus_one(m, s)
-    return _torsion(ds if dt is None else ds.vstack(dt))
+    return (ds if dt is None else ds.vstack(dt)).transpose()
+
+
+def h1(m: GLattice, s: SubgroupClass) -> AbelianInvariants:
+    """Z^1 / B^1 on the presentation of S, from `coboundary_matrix`."""
+    return _torsion(coboundary_matrix(m, s))
 
 
 def _add(u, v) -> list:
     return [x + y for x, y in zip(u, v)]
-
-
-def _fox_system(m: GLattice, s: SubgroupClass):
-    """Z^1 and the generators of B^1 in (f(s), f(t)) coordinates.
-
-    The equation matrix stacks the transposes of the Fox-derivative maps,
-
-        [[N_s^T, 0,          (t + tst)^T],
-         [0,     (1 + t)^T,  (1 + ts)^T ]],
-
-    so row j holds what unknown j contributes to each equation and Z^1 is its
-    left kernel; B^1 is spanned by the rows of [(s - 1)^T, (t - 1)^T].
-    """
-    gen, refl = presentation_generators(s)
-    ident = IntMatrix.identity(m.rank)
-    s_t = m.rho(gen).transpose()
-    # <s> is all of S when S is cyclic, its rotations otherwise
-    powers = [m.rho(a) for a in s.representative if refl is None or not a.flip]
-    norm_t = _matrix_sum(powers).transpose()
-    if refl is None:
-        return kernel_basis(norm_t), list((s_t - ident).data)
-    t_t = m.rho(refl).transpose()
-    c_t = ident + s_t * t_t  # (1 + ts)^T; (t + tst)^T = t^T (1 + ts)^T
-    zero = (0,) * m.rank
-    rows = [n + zero + a for n, a in zip(norm_t.data, (t_t * c_t).data)]
-    rows += [zero + b + c for b, c in zip((ident + t_t).data, c_t.data)]
-    boundaries = [u + v for u, v in zip((s_t - ident).data, (t_t - ident).data)]
-    return kernel_basis(IntMatrix(rows, cols=3 * m.rank)), boundaries
 
 
 @dataclass(frozen=True)
@@ -127,12 +97,13 @@ def one_cocycles(m: GLattice, s: SubgroupClass) -> CocycleSpace:
     """Z^1 and B^1 as functions on every element of S.
 
     Only for callers that need f everywhere: a cocycle is fixed by
-    (f(s), f(t)), the coordinates `h1` and `catalog._noncoboundary_cocycle`
-    work in.  Each solution (a, b) of `h1`'s system is extended by the
-    cocycle rule f(xy) = f(x) + x.f(y): f(s^k) = (1 + s + ... + s^(k-1)) a
-    and f(s^k t) = f(s^k) + s^k b.
+    (f(s), f(t)), the coordinates of `coboundary_matrix`, and Z^1 is
+    spanned by the rows of v^-1 at its nonzero Smith diagonal entries.
+    Each is extended by the cocycle rule f(xy) = f(x) + x.f(y):
+    f(s^k) = (1 + s + ... + s^(k-1)) a and f(s^k t) = f(s^k) + s^k b.
     """
-    cocycles, boundaries = _fox_system(m, s)
+    boundaries = coboundary_matrix(m, s)
+    diagonal, vinv = smith_with_vinv(boundaries)
     gen, refl = presentation_generators(s)
     sig = m.rho(gen)
     els = s.representative
@@ -157,8 +128,10 @@ def one_cocycles(m: GLattice, s: SubgroupClass) -> CocycleSpace:
         elements=els,
         generators=(gen,) if refl is None else (gen, refl),
         rank=r,
-        cocycles=IntMatrix.from_rows([extend(z) for z in cocycles.data], cols=len(els) * r),
-        coboundaries=tuple(extend(v) for v in boundaries),
+        cocycles=IntMatrix.from_rows(
+            [extend(z) for d, z in zip(diagonal, vinv.data) if d], cols=len(els) * r
+        ),
+        coboundaries=tuple(extend(v) for v in boundaries.data),
     )
 
 

@@ -1,5 +1,5 @@
-"""The kernel-quotient route to Tate cohomology and the all-elements cocycle
-route, kept as oracles for `cohomology` and `catalog`.
+"""The kernel-quotient route to Tate cohomology and Fox's equation system,
+kept as oracles for `cohomology` and `catalog`.
 
 `_invariants_of_submodule` reads L/B the long way: a saturated basis of the
 kernel L, the coordinates of every generator of B in it (raising when one
@@ -9,13 +9,13 @@ from `fixed_sublattice`) and Z^1 / B^1 (Z^1 from `oracle_fox_system`); the
 library reads each group off one Smith diagonal of B's generators instead.
 
 `oracle_fox_system` builds Fox's equation matrix one basis vector at a time
-(what unknown e_j contributes to N_s, 1 + t and (1 + ts)(b + ta)), the way
-the library did before it formed whole-matrix products.  The extension
-route extends every Z^1 basis row and every B^1 generator to all of G with
-`one_cocycles`, projects them onto the generator columns, and reads phi at
-sigma and tau off the chosen row through `space.elements.index`.  The
-library works in (f(sigma), f(tau)) coordinates from the start; both must
-pick the same cocycle and build the same sigma and tau.
+(what unknown e_j contributes to N_s, 1 + t and (1 + ts)(b + ta)) and takes
+Z^1 as its kernel; the library never builds it and reads Z^1 as the
+saturation of B^1.  The extension route picks the first row of that Z^1
+basis outside the Hermite form of the B^1 generators, one solve per row,
+and assembles E from its values at sigma and tau.  The library may pick
+another cocycle, so the two extensions agree on whether the pair splits,
+not on sigma and tau.
 """
 
 from glattice.exactla import (
@@ -28,7 +28,7 @@ from glattice.exactla import (
     right_kernel_basis,
     solve_with_hnf,
 )
-from glattice.groups import GroupElement, full_class
+from glattice.groups import full_class
 from glattice.lattices import (
     GLattice,
     LatticeError,
@@ -37,7 +37,6 @@ from glattice.lattices import (
     presentation_generators,
     restrict,
 )
-from glattice.cohomology import one_cocycles
 
 
 def _invariants_of_submodule(kernel_rows, generators):
@@ -108,40 +107,29 @@ def oracle_fox_system(m, s):
 
 
 def oracle_noncoboundary_cocycle(bottom, top):
-    """(space, row): the first all-elements Z^1 row outside B^1."""
-    hom = hom_lattice(top, bottom)
-    space = one_cocycles(hom, full_class(bottom.group))
-    cols = [
-        space.elements.index(a) * space.rank + k
-        for a in space.generators
-        for k in range(space.rank)
-    ]
-    boundaries = hnf(
-        IntMatrix.from_rows([[v[c] for c in cols] for v in space.coboundaries], cols=len(cols))
-    )
-    for row in space.cocycles.data:
-        if solve_with_hnf(boundaries, [row[c] for c in cols]) is None:
-            return space, row
+    """The first Z^1 row of Fox's system for Hom(top, bottom) outside B^1,
+    in (f(sigma), f(tau)) coordinates."""
+    cocycles, boundaries = oracle_fox_system(hom_lattice(top, bottom), full_class(bottom.group))
+    span = hnf(IntMatrix.from_rows(boundaries, cols=cocycles.cols))
+    for row in cocycles.data:
+        if solve_with_hnf(span, row) is None:
+            return row
     raise LatticeError("every cocycle is a coboundary; extension would split")
 
 
 def oracle_nonsplit_extension(bottom, top):
-    """0 -> bottom -> E -> top -> 0 from the all-elements cocycle."""
-    g = top.group
+    """0 -> bottom -> E -> top -> 0 from the oracle's cocycle."""
     rb, rt = bottom.rank, top.rank
-    space, chosen = oracle_noncoboundary_cocycle(bottom, top)
+    chosen = oracle_noncoboundary_cocycle(bottom, top)
 
-    def assemble(el, rho_name):
-        base = space.elements.index(el) * rb * rt
+    def assemble(k, rho_b, rho_t):
+        base = k * rb * rt
         phi = IntMatrix(
             [[chosen[base + i * rt + j] for j in range(rt)] for i in range(rb)], cols=rt
-        ) * getattr(top, rho_name)
-        rho_b, rho_t = getattr(bottom, rho_name), getattr(top, rho_name)
+        ) * rho_t
         rows = [list(rho_b.data[i]) + list(phi.data[i]) for i in range(rb)]
         rows += [[0] * rb + list(rho_t.data[i]) for i in range(rt)]
         return IntMatrix(rows, cols=rb + rt)
 
-    sigma = assemble(GroupElement(1 % g.n, 0), "sigma")
-    if not g.is_dihedral:
-        return GLattice(g, sigma)
-    return GLattice(g, sigma, assemble(GroupElement(0, 1), "tau"))
+    gens = [assemble(k, *pair) for k, pair in enumerate(zip(bottom.gens, top.gens))]
+    return GLattice(top.group, *gens)
