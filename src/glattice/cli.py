@@ -21,10 +21,10 @@ from .catalog import (
     circulant,
     circulant_pattern_one,
     circulant_pattern_two,
-    is_prime,
     verify_witness,
     witness,
 )
+from .cyclotomic import is_prime
 from .rationality import (
     DEFAULT_BUDGET,
     Budget,

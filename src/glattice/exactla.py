@@ -15,8 +15,8 @@ elimination, and each routine keeps only the transforms its callers read:
 - `smith_diagonal`: the diagonal alone, for `cokernel_invariants`,
   `is_saturated`, `lattice_index` and `AbelianInvariants.__add__`.
 - `smith_with_vinv`: the diagonal and v^-1, tracked as the inverse row
-  operation of every column operation on v, for basis completion in
-  `lattices`, the missing generator in `rationality` and the cocycles of
+  operation of every column operation on v, for the saturation test and
+  basis completion of `lattices.quotient_with_maps`, the missing generator in `rationality` and the cocycles of
   `cohomology.one_cocycles` and `catalog._noncoboundary_cocycle`.
 - `hnf`: h, its pivot columns and u, for `solve_with_hnf`, `express_rows`
   and `inverse_unimodular`.

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 from .exactla import (
     IntMatrix,
     block_diag,
-    echelon,
     express_rows,
     inverse_unimodular,
     is_saturated,
-    is_unimodular,
     kron,
     right_kernel_basis,
-    row_space_hnf,
     smith_diagonal,
     smith_with_vinv,
 )
@@ -201,10 +198,10 @@ class ExtensionSpec:
             raise LatticeError("projection is not surjective")
         if any(d != 1 for d in diag):
             raise LatticeError("projection is not surjective onto Z^quotient")
-        # image(inclusion) = kernel(projection)
-        image = row_space_hnf(inc.transpose())
-        kern = row_space_hnf(right_kernel_basis(proj))
-        if image != kern:
+        # the image is saturated of rank sub, the kernel of a projection onto
+        # Z^quotient is saturated of rank total - quotient = sub: so the image
+        # equals the kernel once it lies inside it
+        if any(any(row) for row in (proj * inc).data):
             raise LatticeError("image of inclusion differs from kernel of projection")
 
 
@@ -366,28 +363,21 @@ class QuotientResult:
     projection: IntMatrix  # ambient coords -> quotient coords
 
 
-def _complete_basis(sub: IntMatrix, rank: int) -> IntMatrix:
-    """Extend a saturated row basis to a unimodular rank x rank matrix."""
-    e = echelon(sub)
-    comp = [
-        [1 if j == i else 0 for j in range(rank)] for i in range(rank) if i not in e.pivots
-    ]
-    cand = IntMatrix.from_rows(e.h.data[: e.rank] + tuple(comp), cols=rank)
-    if is_unimodular(cand):
-        return cand
-    # fall back to the SNF completion u * sub * v = [1 | 0]: u * sub is the
-    # top of v^-1, so v^-1 itself completes the basis
-    return smith_with_vinv(sub)[1]
-
-
 def quotient_with_maps(m: GLattice, sub_basis: IntMatrix) -> QuotientResult:
-    """Quotient by a saturated G-stable sublattice, with all the maps."""
+    """Quotient by a saturated G-stable sublattice, with all the maps.
+
+    One Smith form u * sub * v = D gives both steps: the sublattice is
+    saturated exactly when D = [1 | 0], and then u * sub is the top of
+    v^-1, so t = v^-1 is a unimodular basis whose first rows span the
+    sublattice.  In the basis t a stable sublattice makes the action block
+    upper triangular, and the lower block acts on the quotient.
+    """
     k = sub_basis.rows
     if sub_basis.cols != m.rank:
         raise LatticeError("sublattice basis has wrong ambient rank")
-    if not is_saturated(sub_basis):
+    diag, t = smith_with_vinv(sub_basis)
+    if len(diag) != k or any(d != 1 for d in diag):
         raise NonSaturatedSublattice("sublattice is not saturated")
-    t = _complete_basis(sub_basis, m.rank)
     tinv = inverse_unimodular(t)
     tinv_t = tinv.transpose()
     tt = t.transpose()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
@@ -46,8 +46,8 @@ from .lattices import (
     zero_lattice,
 )
 from .cohomology import h1, is_flabby, tate_h0, tate_hminus1
-from .catalog import build, is_prime, witness
-from .cyclotomic import ideal_cyclic_lattice
+from .catalog import build, witness
+from .cyclotomic import ideal_cyclic_lattice, is_prime
 from .steinitz import ClassTable, default_class_table, steinitz_class
 
 
@@ -73,7 +73,6 @@ class Budget:
 
 DEFAULT_BUDGET = Budget()
 CLASSIFY_RANK_CAP = 6  # explicit search cap on the rank searched inside classify
-QUICK_SP_ATTEMPTS = 10  # iso attempts of classify's quick searches
 PERM_PART_CACHE_SIZE = 64  # (group, class) pairs whose Z[G/S] `_perm_part` keeps
 
 
@@ -83,7 +82,7 @@ PERM_PART_CACHE_SIZE = 64  # (group, class) pairs whose Z[G/S] `_perm_part` keep
 @dataclass(frozen=True)
 class Fingerprint:
     rank: int
-    entries: tuple  # per class: (label, fixed_rank, hminus1, h0, h1-or-None)
+    entries: tuple  # per class: (label, fixed_rank, hminus1, h0, h1)
 
     def differs_from(self, other: "Fingerprint") -> str | None:
         if self.rank != other.rank:
@@ -97,27 +96,26 @@ class Fingerprint:
                 return f"hminus1 at {la}"
             if za != zb:
                 return f"h0 at {la}"
-            if oa is not None and ob is not None and oa != ob:
+            if oa != ob:
                 return f"h1 at {la}"
         return None
 
     def __add__(self, other: "Fingerprint") -> "Fingerprint":
         """The fingerprint of the direct sum: fixed rank and Tate cohomology
-        commute with finite direct sums, so every entry adds (H^1 is None
-        when either side lacks it)."""
+        commute with finite direct sums, so every entry adds."""
         entries = []
         for (la, fa, ma, za, oa), (lb, fb, mb, zb, ob) in zip(self.entries, other.entries):
             if la != lb:
                 raise LatticeError("fingerprints over different groups")
-            entries.append((la, fa + fb, ma + mb, za + zb, None if None in (oa, ob) else oa + ob))
+            entries.append((la, fa + fb, ma + mb, za + zb, oa + ob))
         return Fingerprint(rank=self.rank + other.rank, entries=tuple(entries))
 
 
 _fingerprint_cache: dict = {}
 
 
-def fingerprint(m: GLattice, with_h1: bool = True) -> Fingerprint:
-    key = (m.key(), with_h1)
+def fingerprint(m: GLattice) -> Fingerprint:
+    key = m.key()
     cached = _fingerprint_cache.get(key)
     if cached is not None:
         return cached
@@ -127,7 +125,7 @@ def fingerprint(m: GLattice, with_h1: bool = True) -> Fingerprint:
         # N_S / |S| projects M (x) Q onto the fixed space: rank M^S = trace(N_S) / |S|
         fixed_rank = sum(norm.data[i][i] for i in range(m.rank)) // cls.order
         hm1 = tate_hminus1(m, cls)
-        h1v = (hm1 if is_cyclic(cls) else h1(m, cls)) if with_h1 else None
+        h1v = hm1 if is_cyclic(cls) else h1(m, cls)
         entries.append((cls.label, fixed_rank, hm1, tate_h0(m, cls, norm), h1v))
     fp = Fingerprint(rank=m.rank, entries=tuple(entries))
     _fingerprint_cache[key] = fp
@@ -465,18 +463,17 @@ def _witness_seeds(m: GLattice):
     return seeds
 
 
-def stably_permutation(
-    m: GLattice, budget: Budget = DEFAULT_BUDGET, check: bool = True
-) -> StablyPermutationResult:
+def stably_permutation(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> StablyPermutationResult:
     """Search for P1, P2 permutation with m + P1 isomorphic to P2.
 
-    The question is posed for flabby lattices; `check=False` skips the
-    flabbiness test for a lattice the caller has just tested.
+    The question is posed for flabby lattices: an m with H^-1(S, m) != 0 for
+    some class S raises LatticeError.  Those groups are read off the
+    fingerprint of m, which the padding gate below needs anyway.
     """
-    if check:
-        rep = is_flabby(m)
-        if not rep.ok:
-            raise LatticeError(f"stably-permutation question is posed for flabby lattices: {rep.failing}")
+    m_fp = fingerprint(m)
+    failing = tuple((label, hm1) for label, _, hm1, _, _ in m_fp.entries if not hm1.is_trivial)
+    if failing:
+        raise LatticeError(f"stably-permutation question is posed for flabby lattices: {failing}")
     g = m.group
 
     def found(iso_map: LatticeMap, padding: GLattice, pad_labels, target_labels):
@@ -502,21 +499,18 @@ def stably_permutation(
         if padded == wit.lhs and _verify_iso(padded, wit.rhs, wit.intertwiner):
             iso_map = LatticeMap(padded, wit.rhs, wit.intertwiner)
             return found(iso_map, padding, pad_labels, permutation_decomposition(wit.rhs) or ())
-    # generic bounded enumeration: a cheap fingerprint gate (without H^1)
-    # first, a capped number of real searches after.  The gate sums the
-    # fingerprints of M and of the parts, so only a pair that passes it has
-    # its lattices built.
+    # generic bounded enumeration: a cheap fingerprint gate first, a capped
+    # number of real searches after.  The gate sums the fingerprints of M and
+    # of the parts, so only a pair that passes it has its lattices built.
+    # Its H^1 entries never reject a pair over C_n or odd D_n: H^1 of a
+    # permutation lattice is 0 (Shapiro), and a flabby m is coflabby there.
     max_pad = budget.padding_rank_factor * max(m.rank, 1)
     multisets = _perm_multisets(g, m.rank + max_pad)
     targets: dict[int, list] = {}
     for target_labels, t_rank in multisets:
         targets.setdefault(t_rank, []).append(target_labels)
-    part_fp = {
-        c.label: fingerprint(_perm_part(g, c.label).lattice, with_h1=False)
-        for c in subgroup_classes(g)
-    }
+    part_fp = {c.label: fingerprint(_perm_part(g, c.label).lattice) for c in subgroup_classes(g)}
     target_fp: dict[tuple, Fingerprint] = {}
-    m_fp = fingerprint(m, with_h1=False)
     attempts = 0
     for pad_labels, pad_rank in multisets:
         total_rank = m.rank + pad_rank
@@ -571,9 +565,11 @@ def classify(
 ) -> Verdict:
     """Rationality status of the torus with character lattice m.
 
-    The steps run in order: a literal permutation lattice, then an explicit
-    stably-permutation witness, then theorems (the class numbers of the
-    table, and over C_p the Steinitz class).
+    The steps run in order: a literal permutation lattice; an explicit
+    stably-permutation witness for M or its flabby part, one step over C_p
+    and D_p that searches at `budget`; then theorems, per group: the class
+    number h_p^+ of the table over D_p, and over C_p an asserted
+    non-principal ideal, the Steinitz class and h_p.
     """
     table = table or default_class_table()
     g = m.group
@@ -589,14 +585,39 @@ def classify(
             reason="character lattice is a permutation lattice",
             evidence={"orbit_types": labels},
         )
-    quick = replace(budget, sp_attempts=min(budget.sp_attempts, QUICK_SP_ATTEMPTS))
+    res = flabby_resolution(m)
+    verdict = _explicit_verdict(res, budget)
+    if verdict is not None:
+        return verdict
     if g.is_dihedral:
-        return _classify_dihedral(m, table, budget, quick)
-    return _classify_cyclic(m, table, quick, annotations or {})
+        return _dihedral_theorem(res, table)
+    return _cyclic_theorem(m, table, annotations or {})
 
 
-def _stably_permutation_evidence(m: GLattice, spw: StablyPermutationWitness):
-    """0 -> M -> P2 -> P1 -> 0 straight from an M + P1 = P2 witness."""
+def _explicit_verdict(res: FlabbyResolution, budget: Budget) -> Verdict | None:
+    """StablyRational by an explicit witness for M or for its flabby part E.
+
+    C_p and D_p have cyclic Sylow subgroups, so a flabby lattice over them is
+    invertible, hence coflabby (Endo-Miyata; Colliot-Thelene-Sansuc): for a
+    flabby M, Ext^1(E, M) = 0 and M + E = Q, so a witness for either lattice
+    proves the same verdict.  M is searched only when it is flabby, the
+    smaller lattice first, each when its rank is within the cap or it is
+    seeded or permutation.
+    """
+    m, e = res.lattice, res.flabby_part
+    for lat in (m, e) if m.rank <= e.rank else (e, m):
+        if not (lat.rank <= CLASSIFY_RANK_CAP or _witness_seeds(lat) or lat.is_permutation):
+            continue
+        if lat is m and not is_flabby(m).ok:
+            continue
+        spw = stably_permutation(lat, budget)
+        if spw:
+            return _flabby_part_verdict(res, spw.witness) if lat is e else _witness_verdict(m, spw.witness)
+    return None
+
+
+def _witness_verdict(m: GLattice, spw: StablyPermutationWitness) -> Verdict:
+    """StablyRational from 0 -> M -> P2 -> P1 -> 0, straight from an M + P1 = P2 witness."""
     w = spw.iso_map.matrix
     inc = w.submatrix(range(w.rows), range(m.rank))
     winv = inverse_unimodular(w)
@@ -609,7 +630,16 @@ def _stably_permutation_evidence(m: GLattice, spw: StablyPermutationWitness):
         projection=LatticeMap(spw.target, spw.padding, proj),
     )
     ext.check()
-    return ext
+    return Verdict(
+        status="StablyRational",
+        by_theorem=False,
+        reason="character lattice is stably permutation by explicit witness",
+        evidence={
+            "padding": list(spw.padding_labels),
+            "target": list(spw.target_labels),
+            "sequence_total_rank": ext.total.rank,
+        },
+    )
 
 
 def _flabby_part_verdict(res: FlabbyResolution, spw: StablyPermutationWitness) -> Verdict:
@@ -642,43 +672,9 @@ def _flabby_part_verdict(res: FlabbyResolution, spw: StablyPermutationWitness) -
     )
 
 
-def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget, quick: Budget) -> Verdict:
-    p = m.group.n
-    res = flabby_resolution(m)
-    e = res.flabby_part
-
-    # a flabby M that is itself stably permutation gives the two-permutation
-    # exact sequence directly
-    def m_route():
-        if (m.rank <= CLASSIFY_RANK_CAP or _witness_seeds(m)) and is_flabby(m).ok:
-            spw = stably_permutation(m, quick, check=False)
-            if spw:
-                ext = _stably_permutation_evidence(m, spw.witness)
-                return Verdict(
-                    status="StablyRational",
-                    by_theorem=False,
-                    reason="character lattice is stably permutation by explicit witness",
-                    evidence={
-                        "padding": list(spw.witness.padding_labels),
-                        "target": list(spw.witness.target_labels),
-                        "sequence_total_rank": ext.total.rank,
-                    },
-                )
-        return None
-
-    def e_route():
-        if e.rank <= CLASSIFY_RANK_CAP or _witness_seeds(e) or e.is_permutation:
-            spw = stably_permutation(e, budget, check=False)
-            if spw:
-                return _flabby_part_verdict(res, spw.witness)
-        return None
-
-    # both routes prove the same thing: over D_p a flabby M is invertible and
-    # Ext^1(E, M) = 0, so M + E = Q; the smaller lattice is searched first
-    for route in (m_route, e_route) if m.rank <= e.rank else (e_route, m_route):
-        verdict = route()
-        if verdict is not None:
-            return verdict
+def _dihedral_theorem(res: FlabbyResolution, table: ClassTable) -> Verdict:
+    """Over D_p: h_p^+ = 1 makes every flabby class stably permutation."""
+    p = res.lattice.group.n
     h_plus = table.h_plus(p)
     if h_plus == 1:
         return Verdict(
@@ -696,15 +692,10 @@ def _classify_dihedral(m: GLattice, table: ClassTable, budget: Budget, quick: Bu
     )
 
 
-def _classify_cyclic(m: GLattice, table: ClassTable, quick: Budget, annotations: dict) -> Verdict:
+def _cyclic_theorem(m: GLattice, table: ClassTable, annotations: dict) -> Verdict:
+    """Over C_p: an asserted non-principal ideal, then the Steinitz class of M
+    (cl(M), the inverse of the flabby class), then h_p."""
     p = m.group.n
-    # explicit witness attempt when the flabby part is small, as over D_p;
-    # otherwise the obstruction runs on cl(M), the inverse of the flabby class
-    res = flabby_resolution(m)
-    if res.flabby_part.rank <= CLASSIFY_RANK_CAP:
-        spw = stably_permutation(res.flabby_part, quick, check=False)
-        if spw:
-            return _flabby_part_verdict(res, spw.witness)
     asserted = annotations.get("non_principal_ideal")
     if asserted is not None:
         ideal = asserted

@@ -21,7 +21,6 @@ from .exactla import (
     right_kernel_basis,
     row_space_hnf,
 )
-from .catalog import is_prime
 from .cyclotomic import (
     IdealHNF,
     factor_cyclotomic_mod,
@@ -29,6 +28,7 @@ from .cyclotomic import (
     ideal_div_to_integral,
     ideal_inverse,
     ideal_mul,
+    is_prime,
     one_element,
     prime_ideal_above,
     principal_ideal,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from glattice.exactla import IntMatrix, inverse_unimodular, is_saturated, snf
+from glattice.exactla import IntMatrix, inverse_unimodular, is_saturated, row_space_hnf, snf
 from glattice.catalog import LEE_NAMES, _nonsplit_extension, build, lee_census
 from glattice.groups import (
     GroupElement,
@@ -264,18 +264,56 @@ def test_quotient_mplus_gives_nplus_matrices():
 def test_quotient_maps_are_exact():
     g = dihedral(5)
     mp = induce(g, 1)
-    for sub in (IntMatrix([[1] * 5]), IntMatrix([], cols=5)):
-        res = quotient_with_maps(mp, sub)
+    cases = [
+        (mp, IntMatrix([[1] * 5])),
+        (mp, IntMatrix([], cols=5)),
+        # saturated, but its echelon pivot is 2: unit vectors do not complete it
+        (trivial_lattice(g, 2), IntMatrix([[2, 3]])),
+    ]
+    for lat, sub in cases:
+        res = quotient_with_maps(lat, sub)
         ext = ExtensionSpec(
             sub=res.sub_lattice,
-            total=mp,
+            total=lat,
             quotient=res.lattice,
-            inclusion=LatticeMap(res.sub_lattice, mp, res.inclusion),
-            projection=LatticeMap(mp, res.lattice, res.projection),
+            inclusion=LatticeMap(res.sub_lattice, lat, res.inclusion),
+            projection=LatticeMap(lat, res.lattice, res.projection),
         )
         ext.check()
+        assert row_space_hnf(res.inclusion.transpose()) == row_space_hnf(sub), sub
     # the zero sublattice leaves the action as it is
-    assert res.lattice == mp
+    assert quotient_with_maps(mp, IntMatrix([], cols=5)).lattice == mp
+
+
+@pytest.mark.parametrize(
+    "quotient_rank, inc, proj, message",
+    [
+        (1, [[1], [0]], [[0, 1]], None),
+        (1, [[2], [0]], [[0, 1]], "inclusion image is not saturated"),
+        (2, [[1], [0]], [[0, 1], [0, 0]], "ranks do not add up"),
+        (1, [[1], [0]], [[0, 0]], "projection is not surjective"),
+        (1, [[1], [0]], [[0, 2]], "projection is not surjective onto Z^quotient"),
+        (1, [[1], [0]], [[1, 0]], "image of inclusion differs from kernel of projection"),
+    ],
+)
+def test_extension_check_rejects_each_broken_sequence(quotient_rank, inc, proj, message):
+    """0 -> Z -> Z^2 -> Z^q -> 0 over D_3 with the trivial action, so every
+    map intertwines and each case breaks exactly one condition of the check."""
+    g = dihedral(3)
+    sub, total, quo = trivial_lattice(g, 1), trivial_lattice(g, 2), trivial_lattice(g, quotient_rank)
+    ext = ExtensionSpec(
+        sub=sub,
+        total=total,
+        quotient=quo,
+        inclusion=LatticeMap(sub, total, IntMatrix(inc)),
+        projection=LatticeMap(total, quo, IntMatrix(proj)),
+    )
+    if message is None:
+        ext.check()
+        return
+    with pytest.raises(LatticeError) as info:
+        ext.check()
+    assert str(info.value) == message
 
 
 def test_hom_lattice_conjugation():

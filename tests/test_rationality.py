@@ -9,6 +9,7 @@ from glattice.exactla import IntMatrix, det, inverse_unimodular, row_space_hnf
 from glattice.groups import class_by_label, cyclic, dihedral, subgroup_classes
 from glattice.lattices import (
     GLattice,
+    LatticeError,
     anisotropic_sublattice,
     direct_sum,
     dual,
@@ -58,13 +59,13 @@ def test_fingerprint_r_at_5():
     assert entry["C_5"].torsion == (5,)
 
 
-def test_fingerprint_h1_bound_follows_the_fox_system():
-    # rank 40 over C_13: H^1 enters the fingerprint unless with_h1=False
+def test_fingerprint_carries_h1_at_every_class():
+    # rank 40 over C_13: every fingerprint entry holds H^1 of its class
     g = dihedral(13)
     lat = restrict(direct_sum(build("Y2", 13), build("Y0", 13)), class_by_label(g, "C_13"))
     assert lat.rank == 40
-    assert all(h1v is not None for *_, h1v in fingerprint(lat).entries)
-    assert all(h1v is None for *_, h1v in fingerprint(lat, with_h1=False).entries)
+    entries = fingerprint(lat).entries
+    assert [h1v for *_, h1v in entries] == [cohomology.h1(lat, c) for c in subgroup_classes(lat.group)]
 
 
 def test_tate_groups_build_no_kernel_and_no_hermite_transform(monkeypatch):
@@ -199,8 +200,12 @@ def test_stably_permutation_trivial_and_seeded():
 
 
 def test_stably_permutation_requires_flabby():
-    with pytest.raises(Exception):
-        stably_permutation(sign_lattice(dihedral(3)), FAST)
+    sign = sign_lattice(dihedral(3))
+    with pytest.raises(LatticeError) as info:
+        stably_permutation(sign, FAST)
+    assert str(info.value) == (
+        f"stably-permutation question is posed for flabby lattices: {is_flabby(sign).failing}"
+    )
 
 
 def test_classify_catalog_p3():
@@ -241,6 +246,28 @@ def test_classify_cyclic_explicit_witness_for_small_inputs():
     v = classify(w, budget=FAST)
     assert v.status == "StablyRational" and not v.by_theorem
     assert "padding" in v.evidence
+
+
+def test_classify_searches_at_the_callers_budget(monkeypatch):
+    """Every witness search of classify gets the caller's budget: Y1 over D_5
+    is decided on M itself, R restricted to C_5 on its flabby part."""
+    calls = []
+    search = rationality.stably_permutation
+
+    def recording(lat, budget):
+        calls.append((lat.rank, budget))
+        return search(lat, budget)
+
+    monkeypatch.setattr(rationality, "stably_permutation", recording)
+    r5 = restrict(build("R", 5), class_by_label(dihedral(5), "C_5"))
+    for lat, reason in (
+        (build("Y1", 5), "character lattice is stably permutation by explicit witness"),
+        (r5, "explicit stably-permutation witness for the flabby part"),
+    ):
+        calls.clear()
+        v = classify(lat, budget=FAST)
+        assert v.reason == reason and not v.by_theorem
+        assert calls and all(budget == FAST for _, budget in calls), calls
 
 
 def test_permutation_resolutions_have_stably_permutation_parts():
@@ -440,16 +467,14 @@ def _census_over(g):
 def test_summed_fingerprint_equals_the_direct_one(g):
     """Fixed rank and Tate cohomology commute with direct sums, so the gate of
     `stably_permutation` may add fingerprints instead of computing them on
-    M + P: each census lattice plus every pair of Z[G/S] parts, with and
-    without H^1."""
+    M + P: each census lattice plus every pair of Z[G/S] parts."""
     parts = [perm_lattice(g, c) for c in subgroup_classes(g)]
     pairs = [(a, b) for i, a in enumerate(parts) for b in parts[i:]]
     for m in _census_over(g):
-        for with_h1 in (False, True):
-            fp_m = fingerprint(m, with_h1)
-            for a, b in pairs:
-                summed = fp_m + fingerprint(a, with_h1) + fingerprint(b, with_h1)
-                assert summed == fingerprint(direct_sum(m, a, b), with_h1), (g, m, a, b)
+        fp_m = fingerprint(m)
+        for a, b in pairs:
+            summed = fp_m + fingerprint(a) + fingerprint(b)
+            assert summed == fingerprint(direct_sum(m, a, b)), (g, m, a, b)
 
 
 def test_flabby_resolutions_build_each_part_once(monkeypatch):
