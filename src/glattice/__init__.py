@@ -12,7 +12,7 @@ from .exactla import AbelianInvariants, IntMatrix, det, hnf, snf
 from .groups import GroupSpec, cyclic, dihedral, subgroup_classes
 from .lattices import GLattice, direct_sum, dual, perm_lattice, restrict
 from .cohomology import ext1, h1, is_coflabby, is_flabby, tate_h0, tate_hminus1
-from .catalog import build, circulant, lee_census, verify_witness, witness
+from .catalog import build, circulant, lee_census, twisted_lattice, verify_witness, witness
 from .rationality import Budget, classify, flabby_resolution, iso, stably_permutation
 from .steinitz import default_class_table, principality, steinitz_class
 
@@ -48,6 +48,7 @@ __all__ = [
     "subgroup_classes",
     "tate_h0",
     "tate_hminus1",
+    "twisted_lattice",
     "verify_witness",
     "witness",
 ]

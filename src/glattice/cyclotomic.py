@@ -221,11 +221,6 @@ def ideal_inverse(a: IdealHNF) -> IdealHNF:
     return ideal_from_rows(p, IntMatrix([[x // g for x in row] for row in ys], cols=degree))
 
 
-def ideal_div_to_integral(a: IdealHNF, b: IdealHNF) -> IdealHNF:
-    """Integral representative of the class of A * B^{-1}."""
-    return ideal_mul(a, ideal_inverse(b))
-
-
 # --- factorization of the cyclotomic polynomial mod ell ----------------------
 
 

@@ -56,12 +56,6 @@ class GroupElement:
         return self.rot == 0 and self.flip == 0
 
 
-def make_element(g: GroupSpec, rot: int, flip: int = 0) -> GroupElement:
-    if flip and not g.is_dihedral:
-        raise ValueError("cyclic group has no reflections")
-    return GroupElement(rot % g.n, flip % 2)
-
-
 def mul(g: GroupSpec, a: GroupElement, b: GroupElement) -> GroupElement:
     if a.flip:
         return GroupElement((a.rot - b.rot) % g.n, (1 - b.flip) % 2)
@@ -228,28 +222,6 @@ def _find_generators(g: GroupSpec, sub: frozenset) -> list[GroupElement]:
 def conjugate_subgroup(g: GroupSpec, s: SubgroupClass, x: GroupElement) -> list[GroupElement]:
     """x S x^{-1} as a sorted element list."""
     return sorted(conjugate(g, x, a) for a in s.representative)
-
-
-def subgroup_from_elements(g: GroupSpec, members, label: str = "adhoc") -> SubgroupClass:
-    """Wrap an explicit subgroup (e.g. a conjugate) as a class-like object."""
-    members = frozenset(members)
-    if _closure(g, members) != members:
-        raise ValueError("element set is not a subgroup")
-    return SubgroupClass(
-        label=label,
-        representative=tuple(sorted(members)),
-        generators=tuple(_find_generators(g, members)),
-        conjugate_count=1,
-    )
-
-
-def element_order(g: GroupSpec, a: GroupElement) -> int:
-    k = 1
-    cur = a
-    while not cur.is_identity:
-        cur = mul(g, cur, a)
-        k += 1
-    return k
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .exactla import (
     IntMatrix,
     block_diag,
-    express_rows,
     inverse_unimodular,
     is_saturated,
     kron,
@@ -294,11 +293,6 @@ def direct_sum(*lattices: GLattice) -> GLattice:
     return GLattice(g, *(block_diag(*mats) for mats in blocks), validate=False)
 
 
-def zero_lattice(g: GroupSpec) -> GLattice:
-    z = IntMatrix([], cols=0)
-    return GLattice(g, z, z, validate=False)
-
-
 def dual(m: GLattice) -> GLattice:
     """Contragredient: rho*(g) = rho(g^{-1})^T."""
     inverses = (m.sigma_power(m.group.n - 1),) + m.gens[1:]
@@ -404,43 +398,6 @@ def quotient_with_maps(m: GLattice, sub_basis: IntMatrix) -> QuotientResult:
         inclusion=inclusion,
         projection=projection,
     )
-
-
-def quotient_lattice(m: GLattice, sub_basis: IntMatrix) -> GLattice:
-    return quotient_with_maps(m, sub_basis).lattice
-
-
-def anisotropic_sublattice(m: GLattice) -> ExtensionSpec:
-    """0 -> M_0 -> M -> M/M_0 -> 0 where M_0 = ker of the full norm."""
-    norm = m.full_norm_matrix()
-    basis = right_kernel_basis(norm)
-    q = quotient_with_maps(m, basis)
-    # the quotient carries a trivial action
-    ident = IntMatrix.identity(q.lattice.rank)
-    if any(rho != ident for rho in q.lattice.gens):
-        raise LatticeError("quotient by the norm kernel is not trivial")
-    ext = ExtensionSpec(
-        sub=q.sub_lattice,
-        total=m,
-        quotient=q.lattice,
-        inclusion=LatticeMap(q.sub_lattice, m, q.inclusion),
-        projection=LatticeMap(m, q.lattice, q.projection),
-    )
-    return ext
-
-
-def sublattice_action(m: GLattice, basis: IntMatrix) -> GLattice:
-    """Induced action on a G-stable (not necessarily saturated) sublattice."""
-    mats = []
-    for rho in m.gens:
-        mapped = IntMatrix.from_rows(
-            [rho.matvec(row) for row in basis.data], cols=m.rank
-        )
-        coords = express_rows(basis, mapped)
-        if coords is None:
-            raise NonStableSublattice("sublattice not stable under the action")
-        mats.append(coords.transpose())
-    return GLattice(m.group, *mats, validate=False)
 
 
 def hom_lattice(a: GLattice, b: GLattice) -> GLattice:

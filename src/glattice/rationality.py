@@ -43,7 +43,6 @@ from .lattices import (
     perm_lattice,
     quotient_with_maps,
     trivial_lattice,
-    zero_lattice,
 )
 from .cohomology import h1, is_flabby, tate_h0, tate_hminus1
 from .catalog import build, witness
@@ -735,55 +734,3 @@ def _cyclic_theorem(m: GLattice, table: ClassTable, annotations: dict) -> Verdic
         evidence={"steinitz_norm": rep.ideal.norm()},
     )
 
-
-# --- anisotropic decomposition --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecompositionMultiplicities:
-    s0: int  # copies of X
-    s1: int  # copies of R
-    s2: int  # copies of P
-    t: int  # copies of Z_-
-
-
-def decompose_anisotropic(
-    m0: GLattice, budget: Budget = DEFAULT_BUDGET
-) -> DecompositionMultiplicities | None:
-    """Express a norm-killed lattice as X^(s0) + R^(s1) + P^(s2) + Z_-^(t)."""
-    g = m0.group
-    if not g.is_dihedral or not is_prime(g.n):
-        raise LatticeError("decomposition runs over D_p")
-    norm = m0.full_norm_matrix()
-    if any(any(row) for row in norm.data):
-        raise LatticeError("input is not annihilated by the norm element")
-    p = g.n
-    rank = m0.rank
-    pieces = {
-        "X": build("X", p),
-        "R": build("R", p),
-        "P": build("P", p),
-        "Zminus": build("Zminus", p),
-    }
-    candidates = []
-    for s0 in range(rank // p + 1):
-        for s1 in range((rank - s0 * p) // (p - 1) + 1):
-            for s2 in range((rank - s0 * p - s1 * (p - 1)) // (p - 1) + 1):
-                t = rank - s0 * p - (s1 + s2) * (p - 1)
-                if t >= 0:
-                    candidates.append((s0, s1, s2, t))
-    candidates.sort(key=lambda c: c[3])
-    for s0, s1, s2, t in candidates:
-        parts = (
-            [pieces["X"]] * s0 + [pieces["R"]] * s1 + [pieces["P"]] * s2 + [pieces["Zminus"]] * t
-        )
-        cand = direct_sum(*parts) if parts else zero_lattice(g)
-        res = iso(m0, cand, budget)
-        if res:
-            return DecompositionMultiplicities(s0, s1, s2, t)
-    return None
-
-
-def extra_variable_count(mult: DecompositionMultiplicities, m: int, p: int) -> int:
-    """s0(p+1) + s1(p+2) + s2 - t - m."""
-    return mult.s0 * (p + 1) + mult.s1 * (p + 2) + mult.s2 - mult.t - m

@@ -90,10 +90,10 @@ def lattice_from_json(data: dict) -> tuple[GLattice, dict]:
     lat = GLattice(g, sigma, tau)
     if tau is not None and lat.tau is None:
         raise LatticeError("lattice field 'tau' must be null or absent over a cyclic group")
-    raw = _object(data.get("annotations") or {}, "annotations")
-    annotations = dict(raw)
-    if "non_principal_ideal" in raw:
-        ideal = _object(raw["non_principal_ideal"], "annotation 'non_principal_ideal'")
+    raw = data.get("annotations")
+    annotations = {} if raw is None else dict(_object(raw, "annotations"))
+    if "non_principal_ideal" in annotations:
+        ideal = _object(annotations["non_principal_ideal"], "annotation 'non_principal_ideal'")
         annotations["non_principal_ideal"] = ideal_from_json(ideal)
     return lat, annotations
 
@@ -104,13 +104,6 @@ def map_to_json(matrix: IntMatrix, source: str, target: str) -> dict:
 
 def invariants_to_json(inv: AbelianInvariants) -> dict:
     return {"torsion": list(inv.torsion), "free_rank": inv.free_rank}
-
-
-def invariants_from_json(data: dict) -> AbelianInvariants:
-    torsion = _object(data, "invariants", "torsion", "free_rank")["torsion"]
-    if not isinstance(torsion, list) or not all(_is_int(d) for d in torsion):
-        raise LatticeError(f"invariants field 'torsion' must be a list of integers, not {torsion!r}")
-    return AbelianInvariants(tuple(torsion), _int(data, "free_rank", "invariants"))
 
 
 def table_to_json(t: CohomologyTable) -> dict:
@@ -150,12 +143,6 @@ def steinitz_to_json(rep: SteinitzClassRep) -> dict:
         "known_trivial": rep.known_trivial,
         "generator": list(rep.generator) if rep.generator is not None else None,
     }
-
-
-def class_table_to_json(t: ClassTable) -> list:
-    return [
-        {"p": p, "h": h, "h_plus": hp, "source": src} for p, h, hp, src in t.entries
-    ]
 
 
 def class_table_from_json(data) -> ClassTable:

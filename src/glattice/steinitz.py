@@ -12,20 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import floor
 
 from .exactla import (
     IntMatrix,
     det,
     lattice_index,
-    right_kernel_basis,
     row_space_hnf,
 )
 from .cyclotomic import (
     IdealHNF,
     factor_cyclotomic_mod,
     field_norm,
-    ideal_div_to_integral,
     ideal_inverse,
     ideal_mul,
     is_prime,
@@ -42,12 +40,6 @@ def _check_cp(n: GLattice) -> int:
     if g.is_dihedral or not is_prime(g.n):
         raise LatticeError(f"Steinitz machinery needs a C_p lattice, got {g}")
     return g.n
-
-
-def n0_and_n1(n: GLattice) -> tuple[IntMatrix, IntMatrix]:
-    """Saturated bases of the fixed part and of ker Phi_p(sigma)."""
-    _check_cp(n)
-    return full_fixed_sublattice(n), right_kernel_basis(n.full_norm_matrix())
 
 
 @dataclass(frozen=True)
@@ -204,10 +196,8 @@ def short_vectors(gram: IntMatrix, bound: int):
             raise LatticeError("gram matrix is not positive definite")
         # |x_i - center| <= sqrt(remaining / q[i][i])
         radius_sq = remaining / q[i][i]
-        lo = center
-        # integer range scan around the center
-        start = int(center)  # Fraction -> floor-ish; adjust both directions
-        xi = start
+        # integer range scan: down from floor(center), then up past it
+        xi = floor(center)
         while Fraction((xi - center) ** 2) <= radius_sq:
             xi -= 1
         xi += 1
@@ -312,25 +302,6 @@ def steinitz_class(n: GLattice, search_bound: int = 3) -> SteinitzClassRep:
     )
 
 
-def same_class(a: IdealHNF, b: IdealHNF, search_bound: int = 3) -> bool | None:
-    """True if provably equal classes; None when the search is inconclusive."""
-    if a == b:
-        return True
-    quotient = ideal_div_to_integral(a, b)
-    if principality(quotient, search_bound=search_bound):
-        return True
-    return None
-
-
-def class_multiplicativity_check(ext, search_bound: int = 3) -> bool | None:
-    """cl(total) = cl(sub) * cl(quotient); None if not certifiable."""
-    ext.check()  # rejects non-exact input
-    reps = [steinitz_class(lat, search_bound) for lat in (ext.sub, ext.total, ext.quotient)]
-    sub_rep, total_rep, quot_rep = reps
-    product = ideal_mul(sub_rep.ideal, quot_rep.ideal)
-    return same_class(total_rep.ideal, product, search_bound=search_bound)
-
-
 # --- class-number table -------------------------------------------------------
 
 
@@ -366,32 +337,3 @@ def default_class_table() -> ClassTable:
         src = "Washington, Introduction to Cyclotomic Fields, tables (external)"
         entries.append((p, h, 1, src))
     return ClassTable(entries=tuple(entries))
-
-
-def minkowski_h_is_one(p: int) -> bool:
-    """Certify h_p = 1 for small p by checking primes under the Minkowski bound.
-
-    Uses the exact overestimate (4/pi)^r2 <= (12734/10000)^r2 and
-    sqrt(disc) <= isqrt(disc) + 1; every prime ideal with norm under the
-    bound must test principal.
-    """
-    if p not in (3, 5, 7):
-        raise LatticeError("Minkowski certification implemented for p <= 7 only")
-    n = p - 1
-    r2 = n // 2
-    disc = p ** (p - 2)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    bound = Fraction(12734, 10000) ** r2 * Fraction(fact, n**n) * (isqrt(disc) + 1)
-    limit = int(bound) + 1
-    for ell in range(2, limit + 1):
-        if not is_prime(ell):
-            continue
-        for factor in factor_cyclotomic_mod(p, ell):
-            prime = prime_ideal_above(p, ell, factor)
-            if prime.norm() > limit:
-                continue
-            if not principality(prime, search_bound=4):
-                return False
-    return True

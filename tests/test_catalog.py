@@ -23,7 +23,7 @@ from glattice.catalog import (
     verify_witness,
     witness,
 )
-from glattice.lattices import LatticeError, quotient_lattice, trivial_lattice
+from glattice.lattices import LatticeError, quotient_with_maps, trivial_lattice
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -166,11 +166,11 @@ def test_quotient_identity_with_build():
     # the Def 3.2 quotients agree entrywise with the displayed matrices
     for n in (3, 5, 7, 9):
         mp = build("Mplus", n)
-        q = quotient_lattice(mp, IntMatrix([[1] * n]))
+        q = quotient_with_maps(mp, IntMatrix([[1] * n])).lattice
         assert q.sigma == build("Nplus", n).sigma
         assert q.tau == build("Nplus", n).tau
         mm = build("Mminus", n)
-        qm = quotient_lattice(mm, IntMatrix([[1] * n]))
+        qm = quotient_with_maps(mm, IntMatrix([[1] * n])).lattice
         assert qm.tau == build("Nminus", n).tau
 
 

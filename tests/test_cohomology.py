@@ -23,7 +23,6 @@ from glattice.groups import (
     full_class,
     mul,
     subgroup_classes,
-    subgroup_from_elements,
     trivial_class,
 )
 from glattice.catalog import LEE_NAMES, _noncoboundary_cocycle, _nonsplit_extension, build
@@ -48,7 +47,7 @@ from glattice.lattices import (
     hom_lattice,
     induce,
     perm_lattice,
-    quotient_lattice,
+    quotient_with_maps,
     regular_lattice,
     restrict,
     sign_lattice,
@@ -63,6 +62,7 @@ from cocycle_oracle import (
     oracle_nonsplit_extension,
 )
 from pairwise_h1 import pairwise_cocycles, pairwise_h1
+from subgroup_oracle import subgroup_from_elements
 
 Z2 = AbelianInvariants((2,), 0)
 ZERO = AbelianInvariants((), 0)
@@ -70,12 +70,12 @@ ZERO = AbelianInvariants((), 0)
 
 def n_plus(n):
     g = dihedral(n)
-    return quotient_lattice(induce(g, 1), IntMatrix([[1] * n]))
+    return quotient_with_maps(induce(g, 1), IntMatrix([[1] * n])).lattice
 
 
 def n_minus(n):
     g = dihedral(n)
-    return quotient_lattice(induce(g, -1), IntMatrix([[1] * n]))
+    return quotient_with_maps(induce(g, -1), IntMatrix([[1] * n])).lattice
 
 
 def test_hminus1_sigma_on_r():

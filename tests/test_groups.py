@@ -9,10 +9,8 @@ from glattice.groups import (
     conjugate_subgroup,
     cyclic,
     dihedral,
-    element_order,
     elements,
     inv,
-    make_element,
     mul,
     subgroup_classes,
 )
@@ -135,11 +133,3 @@ def test_generators_regenerate_representative():
                             new.append(x)
                 frontier = new
             assert seen == set(c.representative)
-
-
-def test_element_order_and_make_element():
-    g = dihedral(9)
-    assert element_order(g, make_element(g, 3)) == 3
-    assert element_order(g, make_element(g, 4, 1)) == 2
-    with pytest.raises(ValueError):
-        make_element(cyclic(5), 1, 1)

@@ -16,7 +16,6 @@ from glattice.groups import (
     elements,
     full_class,
     subgroup_classes,
-    subgroup_from_elements,
     trivial_class,
 )
 from glattice.lattices import (
@@ -27,7 +26,6 @@ from glattice.lattices import (
     NonSaturatedSublattice,
     NonStableSublattice,
     RelationError,
-    anisotropic_sublattice,
     direct_sum,
     dual,
     fixed_sublattice,
@@ -35,15 +33,14 @@ from glattice.lattices import (
     hom_lattice,
     induce,
     perm_lattice,
-    quotient_lattice,
     quotient_with_maps,
     regular_lattice,
     restrict,
     sign_lattice,
-    sublattice_action,
     trivial_lattice,
-    zero_lattice,
 )
+from steinitz_oracle import sublattice_action
+from subgroup_oracle import subgroup_from_elements
 
 
 def test_relations_validated():
@@ -127,7 +124,7 @@ def test_direct_sum():
     s = direct_sum(trivial_lattice(g), sign_lattice(g))
     assert s.rank == 2
     assert s.tau == IntMatrix([[1, 0], [0, -1]])
-    with_zero = direct_sum(s, zero_lattice(g))
+    with_zero = direct_sum(s, trivial_lattice(g, 0))
     assert with_zero.sigma == s.sigma and with_zero.tau == s.tau
     mt = direct_sum(induce(g, 1), trivial_lattice(g), trivial_lattice(g))
     assert mt.rank == 5
@@ -179,28 +176,6 @@ def test_fixed_sublattice_examples():
     assert fixed_sublattice(reg, trivial_class(g)) == IntMatrix.identity(6)
 
 
-def test_anisotropic_examples():
-    g = dihedral(3)
-    z = trivial_lattice(g)
-    ext = anisotropic_sublattice(z)
-    assert ext.sub.rank == 0 and ext.quotient.rank == 1
-    ext.check()
-
-    zm = sign_lattice(g)
-    ext = anisotropic_sublattice(zm)
-    assert ext.sub.rank == 1 and ext.quotient.rank == 0
-    ext.check()
-
-    reg = regular_lattice(g)
-    ext = anisotropic_sublattice(reg)
-    assert ext.sub.rank == 5 and ext.quotient.rank == 1
-    ext.check()
-    # quotient action is trivial and ranks add; sub is norm-killed
-    norm = reg.full_norm_matrix()
-    for row in ext.inclusion.matrix.transpose().data:
-        assert all(x == 0 for x in norm.matvec(row))
-
-
 def test_factored_norm_equals_the_sum_over_the_subgroup():
     cases = [build(name, p) for p in (3, 5, 7) for name in LEE_NAMES]
     g = dihedral(9)
@@ -227,7 +202,7 @@ def test_factored_norm_equals_the_sum_over_the_subgroup():
 def test_quotient_by_zero_sublattice():
     g = dihedral(5)
     mp = induce(g, 1)
-    q = quotient_lattice(mp, IntMatrix([], cols=5))
+    q = quotient_with_maps(mp, IntMatrix([], cols=5)).lattice
     assert q.sigma == mp.sigma and q.tau == mp.tau
 
 
@@ -235,9 +210,9 @@ def test_quotient_rejects_bad_sublattices():
     g = dihedral(3)
     mp = induce(g, 1)
     with pytest.raises(NonSaturatedSublattice):
-        quotient_lattice(mp, IntMatrix([[2, 2, 2]]))
+        quotient_with_maps(mp, IntMatrix([[2, 2, 2]]))
     with pytest.raises(NonStableSublattice):
-        quotient_lattice(mp, IntMatrix([[1, 0, 0]]))
+        quotient_with_maps(mp, IntMatrix([[1, 0, 0]]))
 
 
 def test_quotient_mplus_gives_nplus_matrices():
@@ -246,7 +221,7 @@ def test_quotient_mplus_gives_nplus_matrices():
         g = dihedral(n)
         mp = induce(g, 1)
         ones = IntMatrix([[1] * n])
-        q = quotient_lattice(mp, ones)
+        q = quotient_with_maps(mp, ones).lattice
         aprime = [[0] * (n - 1) for _ in range(n - 1)]
         for i in range(n - 2):
             aprime[i + 1][i] = 1
@@ -256,7 +231,7 @@ def test_quotient_mplus_gives_nplus_matrices():
         assert q.sigma == IntMatrix(aprime)
         assert q.tau == IntMatrix(bprime)
         mm = induce(g, -1)
-        qm = quotient_lattice(mm, ones)
+        qm = quotient_with_maps(mm, ones).lattice
         assert qm.sigma == IntMatrix(aprime)
         assert qm.tau == -IntMatrix(bprime)
 
@@ -366,7 +341,7 @@ def test_gens_on_every_constructor(g):
     built = [
         m,
         z,
-        zero_lattice(g),
+        trivial_lattice(g, 0),
         direct_sum(m, z),
         dual(m),
         hom_lattice(m, z),

@@ -5,21 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glattice.exactla import IntMatrix, det, inverse_unimodular, row_space_hnf
+from glattice.exactla import IntMatrix, det, inverse_unimodular, right_kernel_basis, row_space_hnf
 from glattice.groups import class_by_label, cyclic, dihedral, subgroup_classes
 from glattice.lattices import (
     GLattice,
     LatticeError,
-    anisotropic_sublattice,
     direct_sum,
     dual,
     fixed_sublattice,
     perm_lattice,
+    quotient_with_maps,
     regular_lattice,
     restrict,
     sign_lattice,
     trivial_lattice,
-    zero_lattice,
 )
 from glattice.catalog import LEE_NAMES, build
 from glattice.cohomology import cohomology_table, is_flabby
@@ -30,8 +29,6 @@ from glattice.rationality import (
     _candidate_maker,
     _perm_part,
     classify,
-    decompose_anisotropic,
-    extra_variable_count,
     fingerprint,
     flabby_resolution,
     hom_space_basis,
@@ -100,7 +97,7 @@ def test_iso_reflexive_and_sign():
     res = iso(m, m, FAST)
     assert res and res.witness.matrix == IntMatrix.identity(4)
     assert iso(trivial_lattice(g), sign_lattice(g), FAST).outcome == "noniso"
-    assert hom_space_basis(zero_lattice(g), m) == hom_space_basis(m, zero_lattice(g)) == []
+    assert hom_space_basis(trivial_lattice(g, 0), m) == hom_space_basis(m, trivial_lattice(g, 0)) == []
 
 
 def test_iso_finds_base_change():
@@ -159,7 +156,7 @@ def test_permutation_decomposition():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_flabby_resolutions_catalog(p):
-    zeros = [zero_lattice(dihedral(p)), zero_lattice(cyclic(p))]
+    zeros = [trivial_lattice(dihedral(p), 0), trivial_lattice(cyclic(p), 0)]
     for lat in [build(name, p) for name in LEE_NAMES] + zeros:
         res = flabby_resolution(lat)
         if not lat.rank:
@@ -298,35 +295,6 @@ def test_classify_c23_obstruction():
     assert v2.status == "Unknown"
 
 
-def test_decompose_anisotropic():
-    g = dihedral(3)
-    x = build("X", 3)
-    mult = decompose_anisotropic(x, FAST)
-    assert (mult.s0, mult.s1, mult.s2, mult.t) == (1, 0, 0, 0)
-    mix = direct_sum(build("R", 3), sign_lattice(g))
-    mult = decompose_anisotropic(mix, FAST)
-    assert (mult.s0, mult.s1, mult.s2, mult.t) == (0, 1, 0, 1)
-    mult = decompose_anisotropic(zero_lattice(g), FAST)
-    assert (mult.s0, mult.s1, mult.s2, mult.t) == (0, 0, 0, 0)
-    m0 = anisotropic_sublattice(regular_lattice(g)).sub
-    mult = decompose_anisotropic(m0, Budget(box_radius=2, draws=5000))
-    assert mult is not None
-    assert mult.s0 * 3 + (mult.s1 + mult.s2) * 2 + mult.t == 5
-
-
-def test_decompose_rejects_non_anisotropic():
-    with pytest.raises(Exception):
-        decompose_anisotropic(trivial_lattice(dihedral(3)), FAST)
-
-
-def test_extra_variable_count():
-    from glattice.rationality import DecompositionMultiplicities as DM
-
-    assert extra_variable_count(DM(1, 0, 0, 0), 0, 3) == 4
-    assert extra_variable_count(DM(0, 1, 0, 0), 0, 5) == 7
-    assert extra_variable_count(DM(0, 0, 1, 1), 1, 3) == -1
-
-
 def _stress_inputs():
     """Seeded duals, norm kernels and mixed sums of census lattices at p = 3, 5."""
     rng = random.Random(99)
@@ -340,7 +308,7 @@ def _stress_inputs():
             if choice < 0.3:
                 lat = dual(lat)
             elif choice < 0.6:
-                lat = anisotropic_sublattice(lat).sub
+                lat = quotient_with_maps(lat, right_kernel_basis(lat.full_norm_matrix())).sub_lattice
             if lat.rank:
                 out.append(lat)
     return out

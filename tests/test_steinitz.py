@@ -1,17 +1,22 @@
 """Cyclotomic ideal arithmetic and Steinitz classes of C_p lattices."""
 
-import pytest
+import itertools
+import random
+from math import isqrt
 
-from glattice.exactla import IntMatrix, right_kernel_basis
+import pytest
+from sympy import Matrix
+
+from glattice.exactla import IntMatrix, det, right_kernel_basis
 from glattice.groups import class_by_label, cyclic, dihedral, trivial_class
 from glattice.lattices import (
     ExtensionSpec,
     LatticeMap,
     direct_sum,
+    full_fixed_sublattice,
     perm_lattice,
     quotient_with_maps,
     restrict,
-    sublattice_action,
     trivial_lattice,
 )
 from glattice.catalog import LEE_NAMES, _nonsplit_extension, build
@@ -29,15 +34,18 @@ from glattice.cyclotomic import (
 )
 from glattice.steinitz import (
     TorsionModule,
-    class_multiplicativity_check,
     default_class_table,
     ideal_module,
-    minkowski_h_is_one,
-    n0_and_n1,
     order_ideal,
     principality,
-    same_class,
+    short_vectors,
     steinitz_class,
+)
+from steinitz_oracle import (
+    class_multiplicativity_check,
+    minkowski_h_is_one,
+    same_class,
+    sublattice_action,
 )
 
 
@@ -56,15 +64,14 @@ def w_lattice(p):
 
 def test_n0_n1_examples():
     p = 5
-    zs = regular_cp(p)
-    n0, n1 = n0_and_n1(zs)
-    assert n0.rows == 1 and n1.rows == p - 1
-    z = trivial_lattice(cyclic(p))
-    n0, n1 = n0_and_n1(z)
-    assert n0.rows == 1 and n1.rows == 0
-    r = r_as_cp(p)
-    n0, n1 = n0_and_n1(r)
-    assert n0.rows == 0 and n1.rows == p - 1
+    # N_0 is the sigma-fixed part and N_1 = ker Phi_p(sigma) the norm kernel
+    for lat, ranks in (
+        (regular_cp(p), (1, p - 1)),
+        (trivial_lattice(cyclic(p)), (1, 0)),
+        (r_as_cp(p), (0, p - 1)),
+    ):
+        n0, n1 = full_fixed_sublattice(lat), right_kernel_basis(lat.full_norm_matrix())
+        assert (n0.rows, n1.rows) == ranks
 
 
 def test_ideal_module_examples():
@@ -120,6 +127,38 @@ def test_principality_declines_big_fields():
     assert principality(b).inconclusive
 
 
+def _short_vectors_by_brute_force(gram, bound):
+    """Every nonzero x with x^T G x <= bound, signed so its first nonzero
+    entry is positive, from a box: x_i^2 <= bound * (G^-1)_ii (sympy)."""
+    inverse = Matrix(gram.tolists()).inv()
+    radii = [isqrt(int(bound * inverse[i, i])) + 1 for i in range(gram.rows)]
+    found = set()
+    for x in itertools.product(*(range(-r, r + 1) for r in radii)):
+        if any(x) and sum(a * b for a, b in zip(gram.vecmat(x), x)) <= bound:
+            found.add(_positive(x))
+    return found
+
+
+def _positive(x):
+    return tuple(x) if next(c for c in x if c) > 0 else tuple(-c for c in x)
+
+
+def test_short_vectors_against_brute_force():
+    # the centre of the last coordinate is negative here, and its ceiling
+    # lies outside the radius: +-(1, -5, -4), of form value exactly 5
+    cases = [(IntMatrix([[19, 2, 1], [2, 6, -7], [1, -7, 9]]), 5)]
+    rng = random.Random(7)
+    while len(cases) < 200:
+        d = rng.choice((2, 3))
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        if det(a):
+            cases.append((a.transpose() * a, rng.randint(1, 12)))
+    for gram, bound in cases:
+        found = [_positive(x) for x in short_vectors(gram, bound)]
+        assert len(found) == len(set(found)), gram
+        assert set(found) == _short_vectors_by_brute_force(gram, bound), (gram, bound)
+
+
 def test_steinitz_class_examples():
     p = 5
     rep = steinitz_class(trivial_lattice(cyclic(p)))
@@ -154,7 +193,7 @@ def test_cl_equals_cl_n1(p):
     csig = class_by_label(dihedral(p), f"C_{p}")
     for name in LEE_NAMES:
         lat = restrict(build(name, p), csig)
-        _, n1 = n0_and_n1(lat)
+        n1 = right_kernel_basis(lat.full_norm_matrix())
         if n1.rows == 0:
             continue
         sub = sublattice_action(lat, n1)
@@ -201,7 +240,7 @@ def test_multiplicativity_n1_sequence(p):
     csig = class_by_label(dihedral(p), f"C_{p}")
     for name in ("ZH", "Y0", "Y2"):
         lat = restrict(build(name, p), csig)
-        _, n1 = n0_and_n1(lat)
+        n1 = right_kernel_basis(lat.full_norm_matrix())
         if not (0 < n1.rows < lat.rank):
             continue
         q = quotient_with_maps(lat, n1)
@@ -247,8 +286,6 @@ def test_ideal_inverse_times_ideal_is_rational_principal():
 
 
 def test_norm_multiplicative_random_products():
-    import random
-
     rng = random.Random(3)
     for p in (3, 5, 7):
         for _ in range(4):
