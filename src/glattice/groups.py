@@ -219,11 +219,6 @@ def _find_generators(g: GroupSpec, sub: frozenset) -> list[GroupElement]:
     return sorted(sub)  # abelian fallback; never hit for C_n, D_n
 
 
-def conjugate_subgroup(g: GroupSpec, s: SubgroupClass, x: GroupElement) -> list[GroupElement]:
-    """x S x^{-1} as a sorted element list."""
-    return sorted(conjugate(g, x, a) for a in s.representative)
-
-
 @lru_cache(maxsize=None)
 def class_by_label(g: GroupSpec, label: str) -> SubgroupClass:
     for c in subgroup_classes(g):

@@ -3,9 +3,9 @@
 The verdict engine mirrors the decision structure for D_p and C_p tori:
 build a minimal flabby resolution, try to certify the lattice or its
 flabby part (the smaller first) stably permutation by an explicit
-unimodular intertwiner (catalog witnesses seed the search), and otherwise
-fall back to class-number facts from the table, or to the Steinitz
-obstruction over C_p.
+unimodular intertwiner (a permutation lattice's orbit map and the catalog
+witnesses need no search), and otherwise fall back to class-number facts
+from the table, or to the Steinitz obstruction over C_p.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .exactla import (
     smith_with_vinv,
     solve_with_hnf,
 )
-from .groups import class_by_label, conjugate_subgroup, elements, subgroup_classes
+from .groups import class_by_label, elements, subgroup_classes
 from .lattices import (
     ExtensionSpec,
     GLattice,
@@ -73,6 +73,7 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 CLASSIFY_RANK_CAP = 6  # explicit search cap on the rank searched inside classify
 PERM_PART_CACHE_SIZE = 64  # (group, class) pairs whose Z[G/S] `_perm_part` keeps
+FINGERPRINT_CACHE_SIZE = 1024  # lattices whose fingerprint `fingerprint` keeps, least recent out first
 
 
 # --- fingerprints -------------------------------------------------------------
@@ -110,13 +111,14 @@ class Fingerprint:
         return Fingerprint(rank=self.rank + other.rank, entries=tuple(entries))
 
 
-_fingerprint_cache: dict = {}
+_fingerprint_cache: dict = {}  # insertion order is recency order
 
 
 def fingerprint(m: GLattice) -> Fingerprint:
     key = m.key()
-    cached = _fingerprint_cache.get(key)
+    cached = _fingerprint_cache.pop(key, None)
     if cached is not None:
+        _fingerprint_cache[key] = cached
         return cached
     entries = []
     for cls in subgroup_classes(m.group):
@@ -127,6 +129,8 @@ def fingerprint(m: GLattice) -> Fingerprint:
         h1v = hm1 if is_cyclic(cls) else h1(m, cls)
         entries.append((cls.label, fixed_rank, hm1, tate_h0(m, cls, norm), h1v))
     fp = Fingerprint(rank=m.rank, entries=tuple(entries))
+    if len(_fingerprint_cache) >= FINGERPRINT_CACHE_SIZE:
+        del _fingerprint_cache[next(iter(_fingerprint_cache))]
     _fingerprint_cache[key] = fp
     return fp
 
@@ -259,29 +263,33 @@ def _full_rank_mod2(bits: int, rows: int, cols: int) -> bool:
 # --- permutation-lattice structure -------------------------------------------
 
 
-def permutation_decomposition(m: GLattice) -> list[str] | None:
-    """Coset types of the basis orbits when m is literally permutation."""
+def permutation_decomposition(m: GLattice) -> tuple[list[str], IntMatrix] | None:
+    """(labels, W) when m is literally permutation: the sorted coset types of
+    its basis orbits, and the permutation matrix W from m onto
+    `perm_from_decomposition(g, labels)`.  An orbit's stabilizers are the
+    conjugates of one class representative S, so some orbit vector e is fixed
+    by exactly S, and x S -> rho(x) e maps Z[G/S] onto the orbit.
+    """
     if not m.is_permutation:
         return None
     g = m.group
-    els = elements(g)
-    classes = subgroup_classes(g)
-    mats = [m.rho(a) for a in els]
+    # acts[a][k] is the index of the basis vector rho(a) sends e_k to
+    acts = {a: [col.index(1) for col in m.rho(a).transpose().data] for a in elements(g)}
+    by_representative = {c.representative: c.label for c in subgroup_classes(g)}
     orbits = []
     seen = set()
-    for start in range(m.rank):
-        if start in seen:
+    for k in range(m.rank):
+        if k in seen:
             continue
-        # column `start` of rho(a) is the basis vector a sends e_start to
-        seen |= {next(k for k in range(m.rank) if rho[k, start]) for rho in mats}
-        stab = sorted(a for a, rho in zip(els, mats) if rho[start, start])
-        for cls in classes:
-            if cls.order == len(stab) and any(conjugate_subgroup(g, cls, x) == stab for x in els):
-                orbits.append(cls.label)
-                break
-        else:
-            return None
-    return sorted(orbits)
+        stabilizer = tuple(sorted(a for a, act in acts.items() if act[k] == k))
+        if (label := by_representative.get(stabilizer)) is None:
+            continue
+        orbit = [acts[x][k] for x in _perm_part(g, label).coset_reps]
+        seen.update(orbit)
+        orbits.append((label, orbit))
+    orbits.sort()
+    rows = [[int(j == k) for j in range(m.rank)] for _, orbit in orbits for k in orbit]
+    return [label for label, _ in orbits], IntMatrix(rows, cols=m.rank)
 
 
 class _PermPart(NamedTuple):
@@ -407,8 +415,7 @@ def flabby_resolution(m: GLattice) -> FlabbyResolution:
 @dataclass(frozen=True)
 class StablyPermutationWitness:
     padding: GLattice  # P1
-    target: GLattice  # P2, a permutation lattice
-    iso_map: LatticeMap  # m + P1 -> P2
+    iso_map: LatticeMap  # m + P1 -> P2, a permutation lattice
     padding_labels: tuple
     target_labels: tuple
 
@@ -441,8 +448,7 @@ def _perm_multisets(g, max_rank: int):
             count += 1
             prefix = prefix + (lab,)
 
-    out = sorted(rec(0, 0), key=lambda item: (item[1], item[0]))
-    return out
+    return sorted(rec(0, 0), key=lambda item: (item[1], item[0]))
 
 
 def _witness_seeds(m: GLattice):
@@ -462,6 +468,31 @@ def _witness_seeds(m: GLattice):
     return seeds
 
 
+def _found(iso_map: LatticeMap, padding: GLattice, pad_labels, target_labels) -> StablyPermutationResult:
+    w = StablyPermutationWitness(padding, iso_map, tuple(pad_labels), tuple(target_labels))
+    return StablyPermutationResult("witness", w)
+
+
+def _exact_witness(m: GLattice) -> StablyPermutationResult:
+    """A witness that needs no search, at any rank: the orbit map of a
+    literal permutation lattice (empty padding), or a catalog identity."""
+    g = m.group
+    if (decomposition := permutation_decomposition(m)) is not None:
+        labels, w = decomposition
+        target = perm_from_decomposition(g, labels)
+        if not _verify_iso(m, target, w):
+            raise LatticeError("the orbit map of a permutation lattice is not an isomorphism")
+        return _found(LatticeMap(m, target, w), trivial_lattice(g, 0), (), labels)
+    # catalog-seeded identities, each intertwiner checked against M + P1
+    for pad_labels, wit in _witness_seeds(m):
+        padding = perm_from_decomposition(g, pad_labels)
+        padded = direct_sum(m, padding)
+        if padded == wit.lhs and _verify_iso(padded, wit.rhs, wit.intertwiner):
+            iso_map = LatticeMap(padded, wit.rhs, wit.intertwiner)
+            return _found(iso_map, padding, pad_labels, permutation_decomposition(wit.rhs)[0])
+    return StablyPermutationResult("unknown", detail="no exact witness")
+
+
 def stably_permutation(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> StablyPermutationResult:
     """Search for P1, P2 permutation with m + P1 isomorphic to P2.
 
@@ -473,31 +504,9 @@ def stably_permutation(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> StablyPe
     failing = tuple((label, hm1) for label, _, hm1, _, _ in m_fp.entries if not hm1.is_trivial)
     if failing:
         raise LatticeError(f"stably-permutation question is posed for flabby lattices: {failing}")
+    if exact := _exact_witness(m):
+        return exact
     g = m.group
-
-    def found(iso_map: LatticeMap, padding: GLattice, pad_labels, target_labels):
-        w = StablyPermutationWitness(
-            padding=padding,
-            target=iso_map.target,
-            iso_map=iso_map,
-            padding_labels=tuple(pad_labels),
-            target_labels=tuple(target_labels),
-        )
-        return StablyPermutationResult("witness", w)
-
-    # literal permutation lattice: empty padding
-    labels = permutation_decomposition(m)
-    if labels is not None:
-        res = iso(m, perm_from_decomposition(g, labels), budget)
-        if res:
-            return found(res.witness, trivial_lattice(g, 0), (), labels)
-    # catalog-seeded identities, each intertwiner checked against M + P1
-    for pad_labels, wit in _witness_seeds(m):
-        padding = perm_from_decomposition(g, pad_labels)
-        padded = direct_sum(m, padding)
-        if padded == wit.lhs and _verify_iso(padded, wit.rhs, wit.intertwiner):
-            iso_map = LatticeMap(padded, wit.rhs, wit.intertwiner)
-            return found(iso_map, padding, pad_labels, permutation_decomposition(wit.rhs) or ())
     # generic bounded enumeration: a cheap fingerprint gate first, a capped
     # number of real searches after.  The gate sums the fingerprints of M and
     # of the parts, so only a pair that passes it has its lattices built.
@@ -533,7 +542,7 @@ def stably_permutation(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> StablyPe
             target = perm_from_decomposition(g, list(target_labels))
             res = iso(direct_sum(m, padding), target, budget)
             if res:
-                return found(res.witness, padding, pad_labels, target_labels)
+                return _found(res.witness, padding, pad_labels, target_labels)
     return StablyPermutationResult("unknown", detail="padding budget exhausted")
 
 
@@ -576,13 +585,12 @@ def classify(
         raise LatticeError("dihedral classification needs D_p, p an odd prime")
     if not g.is_dihedral and not is_prime(g.n):
         raise LatticeError("cyclic classification needs prime order")
-    labels = permutation_decomposition(m)
-    if labels is not None:
+    if (decomposition := permutation_decomposition(m)) is not None:
         return Verdict(
             status="StablyRational",
             by_theorem=False,
             reason="character lattice is a permutation lattice",
-            evidence={"orbit_types": labels},
+            evidence={"orbit_types": decomposition[0]},
         )
     res = flabby_resolution(m)
     verdict = _explicit_verdict(res, budget)
@@ -599,17 +607,15 @@ def _explicit_verdict(res: FlabbyResolution, budget: Budget) -> Verdict | None:
     C_p and D_p have cyclic Sylow subgroups, so a flabby lattice over them is
     invertible, hence coflabby (Endo-Miyata; Colliot-Thelene-Sansuc): for a
     flabby M, Ext^1(E, M) = 0 and M + E = Q, so a witness for either lattice
-    proves the same verdict.  M is searched only when it is flabby, the
-    smaller lattice first, each when its rank is within the cap or it is
-    seeded or permutation.
+    proves the same verdict.  The smaller lattice goes first; it is searched
+    when its rank is within the cap (M only when flabby), and above the cap
+    only a witness that needs no search is taken.
     """
     m, e = res.lattice, res.flabby_part
     for lat in (m, e) if m.rank <= e.rank else (e, m):
-        if not (lat.rank <= CLASSIFY_RANK_CAP or _witness_seeds(lat) or lat.is_permutation):
+        if lat is m and lat.rank <= CLASSIFY_RANK_CAP and not is_flabby(m).ok:
             continue
-        if lat is m and not is_flabby(m).ok:
-            continue
-        spw = stably_permutation(lat, budget)
+        spw = stably_permutation(lat, budget) if lat.rank <= CLASSIFY_RANK_CAP else _exact_witness(lat)
         if spw:
             return _flabby_part_verdict(res, spw.witness) if lat is e else _witness_verdict(m, spw.witness)
     return None
@@ -621,12 +627,13 @@ def _witness_verdict(m: GLattice, spw: StablyPermutationWitness) -> Verdict:
     inc = w.submatrix(range(w.rows), range(m.rank))
     winv = inverse_unimodular(w)
     proj = IntMatrix.from_rows(winv.data[m.rank :], cols=w.rows)
+    p2 = spw.iso_map.target
     ext = ExtensionSpec(
         sub=m,
-        total=spw.target,
+        total=p2,
         quotient=spw.padding,
-        inclusion=LatticeMap(m, spw.target, inc),
-        projection=LatticeMap(spw.target, spw.padding, proj),
+        inclusion=LatticeMap(m, p2, inc),
+        projection=LatticeMap(p2, spw.padding, proj),
     )
     ext.check()
     return Verdict(
@@ -653,9 +660,9 @@ def _flabby_part_verdict(res: FlabbyResolution, spw: StablyPermutationWitness) -
     ext = ExtensionSpec(
         sub=m,
         total=total,
-        quotient=spw.target,
+        quotient=spw.iso_map.target,
         inclusion=LatticeMap(m, total, inc),
-        projection=LatticeMap(total, spw.target, spw.iso_map.matrix * proj_to_e_plus_p1),
+        projection=LatticeMap(total, spw.iso_map.target, spw.iso_map.matrix * proj_to_e_plus_p1),
     )
     ext.check()
     return Verdict(

@@ -1,8 +1,20 @@
-"""An explicit element set wrapped as a subgroup class, for tests that
-evaluate cohomology at a conjugate or at a subgroup the library's class
-list does not name."""
+"""Conjugate subgroups as element lists, and an explicit element set wrapped
+as a subgroup class, for tests that evaluate cohomology at a conjugate or at
+a subgroup the library's class list does not name."""
 
-from glattice.groups import GroupSpec, SubgroupClass, _closure, _find_generators
+from glattice.groups import (
+    GroupElement,
+    GroupSpec,
+    SubgroupClass,
+    _closure,
+    _find_generators,
+    conjugate,
+)
+
+
+def conjugate_subgroup(g: GroupSpec, s: SubgroupClass, x: GroupElement) -> list[GroupElement]:
+    """x S x^{-1} as a sorted element list."""
+    return sorted(conjugate(g, x, a) for a in s.representative)
 
 
 def subgroup_from_elements(g: GroupSpec, members, label: str = "adhoc") -> SubgroupClass:

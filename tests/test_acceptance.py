@@ -34,7 +34,6 @@ from glattice.rationality import (
     Budget,
     classify,
     flabby_resolution,
-    iso,
     stably_permutation,
 )
 from glattice.steinitz import steinitz_class

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from glattice.exactla import IntMatrix, det, is_unimodular
+from glattice.exactla import IntMatrix, det
 from glattice.groups import dihedral
 from glattice.cohomology import ext1
 from glattice.catalog import (

@@ -1,19 +1,10 @@
 """Structural identities tying the catalog lattices together."""
 
-import pytest
-
-from glattice.exactla import AbelianInvariants, IntMatrix
+from glattice.exactla import IntMatrix
 from glattice.groups import class_by_label, dihedral
-from glattice.cohomology import ext1, h1, is_coflabby, is_flabby
+from glattice.cohomology import ext1, is_coflabby, is_flabby
 from glattice.catalog import LEE_NAMES, build
-from glattice.lattices import (
-    direct_sum,
-    perm_lattice,
-    quotient_with_maps,
-    restrict,
-    sign_lattice,
-    trivial_lattice,
-)
+from glattice.lattices import direct_sum, quotient_with_maps, restrict
 from glattice.rationality import Budget, fingerprint, iso
 
 FAST = Budget(box_radius=2, draws=2000)
@@ -40,7 +31,6 @@ def test_restriction_of_m_minus_to_tau():
         dtau = class_by_label(g, "D_1")
         mm = restrict(build("Mminus", p), dtau)
         c2 = mm.group
-        from glattice.groups import trivial_class
         from glattice.lattices import GLattice
 
         sign = GLattice(c2, IntMatrix([[-1]]))

@@ -14,16 +14,13 @@ from glattice.exactla import (
     solve_left,
 )
 from glattice.groups import (
-    GroupElement,
     class_by_label,
-    conjugate_subgroup,
     cyclic,
     dihedral,
     elements,
     full_class,
     mul,
     subgroup_classes,
-    trivial_class,
 )
 from glattice.catalog import LEE_NAMES, _noncoboundary_cocycle, _nonsplit_extension, build
 from glattice.rationality import fingerprint
@@ -62,7 +59,7 @@ from cocycle_oracle import (
     oracle_nonsplit_extension,
 )
 from pairwise_h1 import pairwise_cocycles, pairwise_h1
-from subgroup_oracle import subgroup_from_elements
+from subgroup_oracle import conjugate_subgroup, subgroup_from_elements
 
 Z2 = AbelianInvariants((2,), 0)
 ZERO = AbelianInvariants((), 0)

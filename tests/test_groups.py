@@ -6,7 +6,6 @@ from glattice.groups import (
     GroupElement,
     all_subgroups,
     conjugate,
-    conjugate_subgroup,
     cyclic,
     dihedral,
     elements,
@@ -14,6 +13,7 @@ from glattice.groups import (
     mul,
     subgroup_classes,
 )
+from subgroup_oracle import conjugate_subgroup
 
 
 def test_element_counts():

@@ -5,12 +5,10 @@ import random
 
 import pytest
 
-from glattice.exactla import IntMatrix, inverse_unimodular, is_saturated, row_space_hnf, snf
+from glattice.exactla import IntMatrix, inverse_unimodular, is_saturated, row_space_hnf
 from glattice.catalog import LEE_NAMES, _nonsplit_extension, build, lee_census
 from glattice.groups import (
-    GroupElement,
     class_by_label,
-    conjugate_subgroup,
     cyclic,
     dihedral,
     elements,
@@ -40,7 +38,7 @@ from glattice.lattices import (
     trivial_lattice,
 )
 from steinitz_oracle import sublattice_action
-from subgroup_oracle import subgroup_from_elements
+from subgroup_oracle import conjugate_subgroup, subgroup_from_elements
 
 
 def test_relations_validated():

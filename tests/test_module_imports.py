@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "glattice"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "glattice"
 
 
 def _private_imports(path):
@@ -27,6 +28,26 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     found = {path.name: _private_imports(path) for path in modules}
     assert {name: imports for name, imports in found.items() if imports} == {}
 
+
+def _unused_imports(path):
+    """Names that `path` imports, at any depth, and never loads; a name
+    listed in `__all__` counts as loaded."""
+    imported, loaded = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in node.targets):
+            loaded |= {elt.value for elt in node.value.elts}
+    return sorted(imported - loaded)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(modules) >= 30
+    found = {f"{path.parent.name}/{path.name}": _unused_imports(path) for path in modules}
+    assert {name: unused for name, unused in found.items() if unused} == {}
 
 
 # Top-level definitions that only the benchmark harness names: `perfbench/`

@@ -24,10 +24,12 @@ from glattice.catalog import LEE_NAMES, build
 from glattice.cohomology import cohomology_table, is_flabby
 from glattice import cohomology, rationality
 from glattice.rationality import (
+    CLASSIFY_RANK_CAP,
     PERM_PART_CACHE_SIZE,
     Budget,
     _candidate_maker,
     _perm_part,
+    _verify_iso,
     classify,
     fingerprint,
     flabby_resolution,
@@ -132,26 +134,77 @@ def test_stably_permutation_takes_the_catalog_seed():
             spw.iso_map.check()
 
 
+def _shuffled(lat, rng):
+    """lat in a seeded random basis order, P.rho.P^T."""
+    order = rng.sample(range(lat.rank), lat.rank)
+    p = IntMatrix([[int(j == k) for j in range(lat.rank)] for k in order], cols=lat.rank)
+    return GLattice(lat.group, *(p * rho * p.transpose() for rho in lat.gens))
+
+
 def test_permutation_decomposition():
     g = dihedral(5)
     lat = direct_sum(regular_lattice(g), trivial_lattice(g), build("ZH", 5))
-    assert permutation_decomposition(lat) == ["1", "C_5", "D_5"]
+    assert permutation_decomposition(lat)[0] == ["1", "C_5", "D_5"]
     assert permutation_decomposition(build("Mminus", 5)) is None
-    # every Z[G/S1] + Z[G/S2] in a seeded random basis order P.rho.P^T; D_4
-    # and D_6 have two classes of reflections
+    # every Z[G/S1] + Z[G/S2] in a seeded random basis order; D_4 and D_6
+    # have two classes of reflections.  W maps onto the sorted parts.
     rng = random.Random(11)
     cases = 0
     for g in (dihedral(3), dihedral(5), dihedral(9), dihedral(4), dihedral(6), cyclic(5), cyclic(6)):
         classes = subgroup_classes(g)
         for i, s1 in enumerate(classes):
             for s2 in classes[i:]:
-                lat = direct_sum(perm_lattice(g, s1), perm_lattice(g, s2))
-                order = rng.sample(range(lat.rank), lat.rank)
-                p = IntMatrix([[int(j == k) for j in range(lat.rank)] for k in order])
-                shuffled = GLattice(g, *(p * rho * p.transpose() for rho in lat.gens))
-                assert permutation_decomposition(shuffled) == sorted([s1.label, s2.label])
+                shuffled = _shuffled(direct_sum(perm_lattice(g, s1), perm_lattice(g, s2)), rng)
+                labels, w = permutation_decomposition(shuffled)
+                assert labels == sorted([s1.label, s2.label])
+                assert _verify_iso(shuffled, perm_from_decomposition(g, labels), w)
                 cases += 1
     assert cases == 145
+
+
+def _refuse_iso(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("iso searched where the witness needs no search")
+
+    monkeypatch.setattr(rationality, "iso", refuse)
+
+
+def test_stably_permutation_reads_a_permutation_lattice_off_its_orbits(monkeypatch):
+    """A permutation lattice in any basis order, rank 0 included, is decided
+    with empty padding at a one-draw budget and no iso search."""
+    _refuse_iso(monkeypatch)
+    rng = random.Random(5)
+    g = dihedral(5)
+    classes = subgroup_classes(g)
+    cases = [trivial_lattice(g, 0), trivial_lattice(cyclic(3), 0)]
+    cases += [_shuffled(direct_sum(*(perm_lattice(g, c) for c in rng.sample(classes, 3))), rng) for _ in range(6)]
+    for lat in cases:
+        sp = stably_permutation(lat, Budget(draws=1))
+        assert sp and sp.witness.padding_labels == ()
+        assert list(sp.witness.target_labels) == permutation_decomposition(lat)[0]
+        sp.witness.iso_map.check()
+
+
+def test_a_permutation_flabby_part_above_the_cap_needs_no_search(monkeypatch):
+    """Y0 + X over D_5 has a flabby part of rank 10, above the cap, that is a
+    permutation lattice in another basis order."""
+    _refuse_iso(monkeypatch)
+    m = direct_sum(build("Y0", 5), build("X", 5))
+    e = flabby_resolution(m).flabby_part
+    assert e.rank == 10 > CLASSIFY_RANK_CAP and e.is_permutation
+    v = classify(m, budget=FAST)
+    assert v.reason == "explicit stably-permutation witness for the flabby part"
+    assert v.evidence["padding"] == [] and not v.by_theorem
+
+
+def test_nothing_above_the_cap_is_searched(monkeypatch):
+    """Y0 + Y1 over D_7: M and E are above the cap and have no exact witness,
+    so the verdict comes from h_7^+ = 1 without a search."""
+    _refuse_iso(monkeypatch)
+    res = flabby_resolution(direct_sum(build("Y0", 7), build("Y1", 7)))
+    assert min(res.lattice.rank, res.flabby_part.rank) > CLASSIFY_RANK_CAP
+    v = classify(res.lattice, budget=FAST)
+    assert v.by_theorem and v.status == "StablyRational" and v.evidence["h_plus"] == 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -461,6 +514,21 @@ def test_flabby_resolutions_build_each_part_once(monkeypatch):
     assert built and len(built) == len(set(built))
     assert {label for _, label in built} >= set(res[0].summands) | set(res[1].summands)
     _perm_part.cache_clear()
+
+
+def test_the_fingerprint_cache_is_bounded_and_keeps_recent_hits(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(rationality, "_fingerprint_cache", cache)
+    monkeypatch.setattr(rationality, "FINGERPRINT_CACHE_SIZE", 4)
+    lats = [trivial_lattice(cyclic(3), rank) for rank in range(1, 8)]
+    for lat in lats[:4]:
+        fingerprint(lat)
+    hit = fingerprint(lats[0])  # the hit makes lats[0] the most recent key
+    for lat in lats[4:]:  # three inserts at capacity evict lats[1], lats[2], lats[3]
+        fingerprint(lat)
+        assert len(cache) == 4
+    assert list(cache) == [lat.key() for lat in (lats[0], *lats[4:])]
+    assert cache[lats[0].key()] is hit
 
 
 def test_the_part_cache_is_bounded():
