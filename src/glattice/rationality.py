@@ -1,11 +1,11 @@
 """Flabby resolutions, isomorphism search, and rationality verdicts.
 
 The verdict engine mirrors the decision structure for D_p and C_p tori:
-build a minimal flabby resolution, try to certify the lattice or its
-flabby part (the smaller first) stably permutation by an explicit
-unimodular intertwiner (a permutation lattice's orbit map and the catalog
-witnesses need no search), and otherwise fall back to class-number facts
-from the table, or to the Steinitz obstruction over C_p.
+build a minimal flabby resolution, try to certify its flabby part stably
+permutation by an explicit unimodular intertwiner (a permutation lattice's
+orbit map and the catalog witnesses need no search), then the lattice by a
+catalog identity, and otherwise fall back to class-number facts from the
+table, or to the Steinitz obstruction over C_p.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .lattices import (
     quotient_with_maps,
     trivial_lattice,
 )
-from .cohomology import h1, is_flabby, tate_h0, tate_hminus1
+from .cohomology import h1, tate_h0, tate_hminus1
 from .catalog import build, witness
 from .cyclotomic import ideal_cyclic_lattice, is_prime
 from .steinitz import ClassTable, default_class_table, steinitz_class
@@ -133,6 +133,11 @@ def fingerprint(m: GLattice) -> Fingerprint:
         del _fingerprint_cache[next(iter(_fingerprint_cache))]
     _fingerprint_cache[key] = fp
     return fp
+
+
+def _flabby_failures(fp: Fingerprint) -> tuple:
+    """(label, H^-1) for each class S with H^-1(S, M) != 0; empty when M is flabby."""
+    return tuple((label, hm1) for label, _, hm1, _, _ in fp.entries if not hm1.is_trivial)
 
 
 # --- isomorphism search -------------------------------------------------------
@@ -397,9 +402,9 @@ def flabby_resolution(m: GLattice) -> FlabbyResolution:
         projection=LatticeMap(q, flabby_part, quo.projection),
     )
     seq.check()
-    rep = is_flabby(flabby_part)
-    if not rep.ok:
-        raise LatticeError(f"flabby part failed the flabbiness test: {rep.failing}")
+    # the fingerprint holds every H^-1, and a search on E reads it from the cache
+    if failing := _flabby_failures(fingerprint(flabby_part)):
+        raise LatticeError(f"flabby part failed the flabbiness test: {failing}")
     return FlabbyResolution(
         lattice=m,
         perm=q,
@@ -501,8 +506,7 @@ def stably_permutation(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> StablyPe
     fingerprint of m, which the padding gate below needs anyway.
     """
     m_fp = fingerprint(m)
-    failing = tuple((label, hm1) for label, _, hm1, _, _ in m_fp.entries if not hm1.is_trivial)
-    if failing:
+    if failing := _flabby_failures(m_fp):
         raise LatticeError(f"stably-permutation question is posed for flabby lattices: {failing}")
     if exact := _exact_witness(m):
         return exact
@@ -574,10 +578,16 @@ def classify(
     """Rationality status of the torus with character lattice m.
 
     The steps run in order: a literal permutation lattice; an explicit
-    stably-permutation witness for M or its flabby part, one step over C_p
-    and D_p that searches at `budget`; then theorems, per group: the class
-    number h_p^+ of the table over D_p, and over C_p an asserted
-    non-principal ideal, the Steinitz class and h_p.
+    stably-permutation witness for the flabby part E of 0 -> M -> Q -> E -> 0
+    (searched at `budget` up to `CLASSIFY_RANK_CAP`, above it only one that
+    needs no search), then a catalog identity for M; then theorems, per
+    group: the class number h_p^+ of the table over D_p, and over C_p an
+    asserted non-principal ideal, the Steinitz class and h_p.
+
+    E alone is searched: C_p and D_p have cyclic Sylow subgroups, so a
+    flabby M is invertible, hence coflabby (Endo-Miyata;
+    Colliot-Thelene-Sansuc), Ext^1(E, M) = 0 and M + E = Q, so a witness for
+    M would prove no more than one for E.
     """
     table = table or default_class_table()
     g = m.group
@@ -593,89 +603,49 @@ def classify(
             evidence={"orbit_types": decomposition[0]},
         )
     res = flabby_resolution(m)
-    verdict = _explicit_verdict(res, budget)
-    if verdict is not None:
-        return verdict
+    e = res.flabby_part
+    spw = stably_permutation(e, budget) if e.rank <= CLASSIFY_RANK_CAP else _exact_witness(e)
+    if spw:
+        # 0 -> M -> Q + P1 -> P2 -> 0 through Q + P1 -> E + P1 -> P2
+        w = spw.witness
+        pad, p2 = w.padding.rank, w.iso_map.target
+        total = direct_sum(res.perm, w.padding)
+        inc = res.seq.inclusion.matrix.vstack(IntMatrix.zero(pad, m.rank))
+        proj = w.iso_map.matrix * block_diag(res.seq.projection.matrix, IntMatrix.identity(pad))
+        return _sequence_verdict(
+            LatticeMap(m, total, inc),
+            LatticeMap(total, p2, proj),
+            w,
+            "explicit stably-permutation witness for the flabby part",
+            resolution_summands=list(res.summands),
+        )
+    if spw := _exact_witness(m):
+        # 0 -> M -> P2 -> P1 -> 0 read off the intertwiner W: M + P1 -> P2
+        w = spw.witness
+        mat, p2 = w.iso_map.matrix, w.iso_map.target
+        inc = mat.submatrix(range(mat.rows), range(m.rank))
+        proj = IntMatrix.from_rows(inverse_unimodular(mat).data[m.rank :], cols=mat.rows)
+        return _sequence_verdict(
+            LatticeMap(m, p2, inc),
+            LatticeMap(p2, w.padding, proj),
+            w,
+            "character lattice is stably permutation by explicit witness",
+        )
     if g.is_dihedral:
         return _dihedral_theorem(res, table)
     return _cyclic_theorem(m, table, annotations or {})
 
 
-def _explicit_verdict(res: FlabbyResolution, budget: Budget) -> Verdict | None:
-    """StablyRational by an explicit witness for M or for its flabby part E.
-
-    C_p and D_p have cyclic Sylow subgroups, so a flabby lattice over them is
-    invertible, hence coflabby (Endo-Miyata; Colliot-Thelene-Sansuc): for a
-    flabby M, Ext^1(E, M) = 0 and M + E = Q, so a witness for either lattice
-    proves the same verdict.  The smaller lattice goes first; it is searched
-    when its rank is within the cap (M only when flabby), and above the cap
-    only a witness that needs no search is taken.
-    """
-    m, e = res.lattice, res.flabby_part
-    for lat in (m, e) if m.rank <= e.rank else (e, m):
-        if lat is m and lat.rank <= CLASSIFY_RANK_CAP and not is_flabby(m).ok:
-            continue
-        spw = stably_permutation(lat, budget) if lat.rank <= CLASSIFY_RANK_CAP else _exact_witness(lat)
-        if spw:
-            return _flabby_part_verdict(res, spw.witness) if lat is e else _witness_verdict(m, spw.witness)
-    return None
-
-
-def _witness_verdict(m: GLattice, spw: StablyPermutationWitness) -> Verdict:
-    """StablyRational from 0 -> M -> P2 -> P1 -> 0, straight from an M + P1 = P2 witness."""
-    w = spw.iso_map.matrix
-    inc = w.submatrix(range(w.rows), range(m.rank))
-    winv = inverse_unimodular(w)
-    proj = IntMatrix.from_rows(winv.data[m.rank :], cols=w.rows)
-    p2 = spw.iso_map.target
-    ext = ExtensionSpec(
-        sub=m,
-        total=p2,
-        quotient=spw.padding,
-        inclusion=LatticeMap(m, p2, inc),
-        projection=LatticeMap(p2, spw.padding, proj),
-    )
+def _sequence_verdict(
+    inclusion: LatticeMap, projection: LatticeMap, w: StablyPermutationWitness, reason: str, **evidence
+) -> Verdict:
+    """StablyRational from 0 -> M -> X -> Y -> 0, X and Y permutation, once the sequence checks."""
+    ext = ExtensionSpec(inclusion.source, inclusion.target, projection.target, inclusion, projection)
     ext.check()
-    return Verdict(
-        status="StablyRational",
-        by_theorem=False,
-        reason="character lattice is stably permutation by explicit witness",
-        evidence={
-            "padding": list(spw.padding_labels),
-            "target": list(spw.target_labels),
-            "sequence_total_rank": ext.total.rank,
-        },
+    evidence.update(
+        padding=list(w.padding_labels), target=list(w.target_labels), sequence_total_rank=ext.total.rank
     )
-
-
-def _flabby_part_verdict(res: FlabbyResolution, spw: StablyPermutationWitness) -> Verdict:
-    """StablyRational from 0 -> M -> Q + P1 -> P2 -> 0, both middle terms permutation."""
-    m = res.lattice
-    p1 = spw.padding
-    total = direct_sum(res.perm, p1) if p1.rank else res.perm
-    inc = res.seq.inclusion.matrix
-    if p1.rank:
-        inc = inc.vstack(IntMatrix.zero(p1.rank, m.rank))
-    proj_to_e_plus_p1 = block_diag(res.seq.projection.matrix, IntMatrix.identity(p1.rank))
-    ext = ExtensionSpec(
-        sub=m,
-        total=total,
-        quotient=spw.iso_map.target,
-        inclusion=LatticeMap(m, total, inc),
-        projection=LatticeMap(total, spw.iso_map.target, spw.iso_map.matrix * proj_to_e_plus_p1),
-    )
-    ext.check()
-    return Verdict(
-        status="StablyRational",
-        by_theorem=False,
-        reason="explicit stably-permutation witness for the flabby part",
-        evidence={
-            "resolution_summands": list(res.summands),
-            "padding": list(spw.padding_labels),
-            "target": list(spw.target_labels),
-            "sequence_total_rank": ext.total.rank,
-        },
-    )
+    return Verdict(status="StablyRational", by_theorem=False, reason=reason, evidence=evidence)
 
 
 def _dihedral_theorem(res: FlabbyResolution, table: ClassTable) -> Verdict:

@@ -299,25 +299,29 @@ def test_classify_cyclic_explicit_witness_for_small_inputs():
 
 
 def test_classify_searches_at_the_callers_budget(monkeypatch):
-    """Every witness search of classify gets the caller's budget: Y1 over D_5
-    is decided on M itself, R restricted to C_5 on its flabby part."""
+    """classify searches the flabby part E alone, at the caller's budget,
+    over the census at p = 3 and 5 and R restricted to C_5; Y1 over D_7,
+    whose E is above the cap, is then decided on M by T34 with no search."""
     calls = []
     search = rationality.stably_permutation
 
     def recording(lat, budget):
-        calls.append((lat.rank, budget))
+        calls.append((lat, budget))
         return search(lat, budget)
 
     monkeypatch.setattr(rationality, "stably_permutation", recording)
     r5 = restrict(build("R", 5), class_by_label(dihedral(5), "C_5"))
-    for lat, reason in (
-        (build("Y1", 5), "character lattice is stably permutation by explicit witness"),
-        (r5, "explicit stably-permutation witness for the flabby part"),
-    ):
+    for m in [build(name, p) for p in (3, 5) for name in LEE_NAMES] + [r5]:
         calls.clear()
-        v = classify(lat, budget=FAST)
-        assert v.reason == reason and not v.by_theorem
-        assert calls and all(budget == FAST for _, budget in calls), calls
+        classify(m, budget=FAST)
+        e = flabby_resolution(m).flabby_part
+        assert all(lat == e and budget == FAST for lat, budget in calls), calls
+    assert calls  # R restricted to C_5, classified last, is searched
+
+    _refuse_iso(monkeypatch)
+    v = classify(build("Y1", 7), budget=FAST)
+    assert v.reason == "character lattice is stably permutation by explicit witness"
+    assert v.evidence["padding"] == ["D_7"] and not v.by_theorem
 
 
 def test_permutation_resolutions_have_stably_permutation_parts():
