@@ -1,11 +1,11 @@
 """Flabby resolutions, isomorphism search, and rationality verdicts.
 
 The verdict engine mirrors the decision structure for D_p and C_p tori:
-build a minimal flabby resolution, try to certify its flabby part stably
-permutation by an explicit unimodular intertwiner (a permutation lattice's
-orbit map and the catalog witnesses need no search), then the lattice by a
-catalog identity, and otherwise fall back to class-number facts from the
-table, or to the Steinitz obstruction over C_p.
+take a witness for the lattice that needs no search (a permutation
+lattice's orbit map or a catalog identity), else build a minimal flabby
+resolution and try to certify its flabby part stably permutation by an
+explicit unimodular intertwiner, and otherwise fall back to class-number
+facts from the table, or to the Steinitz obstruction over C_p.
 """
 
 from __future__ import annotations
@@ -516,7 +516,7 @@ def stably_permutation(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> StablyPe
     # of the parts, so only a pair that passes it has its lattices built.
     # Its H^1 entries never reject a pair over C_n or odd D_n: H^1 of a
     # permutation lattice is 0 (Shapiro), and a flabby m is coflabby there.
-    max_pad = budget.padding_rank_factor * max(m.rank, 1)
+    max_pad = budget.padding_rank_factor * m.rank
     multisets = _perm_multisets(g, m.rank + max_pad)
     targets: dict[int, list] = {}
     for target_labels, t_rank in multisets:
@@ -528,8 +528,6 @@ def stably_permutation(m: GLattice, budget: Budget = DEFAULT_BUDGET) -> StablyPe
         total_rank = m.rank + pad_rank
         if pad_rank > max_pad:
             break
-        if total_rank == 0:
-            continue
         padded_fp = sum((part_fp[lab] for lab in pad_labels), m_fp)
         for target_labels in targets.get(total_rank, ()):
             if target_labels not in target_fp:
@@ -577,12 +575,15 @@ def classify(
 ) -> Verdict:
     """Rationality status of the torus with character lattice m.
 
-    The steps run in order: a literal permutation lattice; an explicit
-    stably-permutation witness for the flabby part E of 0 -> M -> Q -> E -> 0
-    (searched at `budget` up to `CLASSIFY_RANK_CAP`, above it only one that
-    needs no search), then a catalog identity for M; then theorems, per
-    group: the class number h_p^+ of the table over D_p, and over C_p an
-    asserted non-principal ideal, the Steinitz class and h_p.
+    The steps run in order: a witness for M that needs no search (the
+    orbit map of a literal permutation lattice, or a T34/T35 catalog
+    identity); an explicit stably-permutation witness for the flabby part E
+    of 0 -> M -> Q -> E -> 0 (searched at `budget` up to
+    `CLASSIFY_RANK_CAP`, above it only one that needs no search); then
+    theorems, per group: the class number h_p^+ of the table over D_p, and
+    over C_p an asserted non-principal ideal, the Steinitz class and h_p.
+    Every explicit verdict is a sequence 0 -> M -> X -> Y -> 0 with X and Y
+    permutation, checked by `_sequence_verdict`.
 
     E alone is searched: C_p and D_p have cyclic Sylow subgroups, so a
     flabby M is invertible, hence coflabby (Endo-Miyata;
@@ -595,12 +596,18 @@ def classify(
         raise LatticeError("dihedral classification needs D_p, p an odd prime")
     if not g.is_dihedral and not is_prime(g.n):
         raise LatticeError("cyclic classification needs prime order")
-    if (decomposition := permutation_decomposition(m)) is not None:
-        return Verdict(
-            status="StablyRational",
-            by_theorem=False,
-            reason="character lattice is a permutation lattice",
-            evidence={"orbit_types": decomposition[0]},
+    if spw := _exact_witness(m):
+        # 0 -> M -> P2 -> P1 -> 0 read off the intertwiner W: M + P1 -> P2;
+        # the orbit map of a permutation lattice has P1 = 0
+        w = spw.witness
+        mat, p2 = w.iso_map.matrix, w.iso_map.target
+        inc = mat.submatrix(range(mat.rows), range(m.rank))
+        proj = IntMatrix.from_rows(inverse_unimodular(mat).data[m.rank :], cols=mat.rows)
+        return _sequence_verdict(
+            LatticeMap(m, p2, inc),
+            LatticeMap(p2, w.padding, proj),
+            w,
+            "character lattice is stably permutation by explicit witness",
         )
     res = flabby_resolution(m)
     e = res.flabby_part
@@ -618,18 +625,6 @@ def classify(
             w,
             "explicit stably-permutation witness for the flabby part",
             resolution_summands=list(res.summands),
-        )
-    if spw := _exact_witness(m):
-        # 0 -> M -> P2 -> P1 -> 0 read off the intertwiner W: M + P1 -> P2
-        w = spw.witness
-        mat, p2 = w.iso_map.matrix, w.iso_map.target
-        inc = mat.submatrix(range(mat.rows), range(m.rank))
-        proj = IntMatrix.from_rows(inverse_unimodular(mat).data[m.rank :], cols=mat.rows)
-        return _sequence_verdict(
-            LatticeMap(m, p2, inc),
-            LatticeMap(p2, w.padding, proj),
-            w,
-            "character lattice is stably permutation by explicit witness",
         )
     if g.is_dihedral:
         return _dihedral_theorem(res, table)

@@ -113,6 +113,8 @@ def order_ideal(torsion: TorsionModule, p: int) -> IdealHNF:
     remaining = torsion.order
     ell = 2
     while remaining > 1:
+        if ell * ell > remaining:
+            ell = remaining  # no factor up to its square root: what remains is prime
         if remaining % ell:
             ell += 1
             continue

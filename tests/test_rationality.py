@@ -1,5 +1,6 @@
 """Fingerprints, iso search, resolutions, verdicts."""
 
+import itertools
 import random
 
 import pytest
@@ -300,8 +301,7 @@ def test_classify_cyclic_explicit_witness_for_small_inputs():
 
 def test_classify_searches_at_the_callers_budget(monkeypatch):
     """classify searches the flabby part E alone, at the caller's budget,
-    over the census at p = 3 and 5 and R restricted to C_5; Y1 over D_7,
-    whose E is above the cap, is then decided on M by T34 with no search."""
+    over the census at p = 3 and 5 and R restricted to C_5."""
     calls = []
     search = rationality.stably_permutation
 
@@ -318,10 +318,35 @@ def test_classify_searches_at_the_callers_budget(monkeypatch):
         assert all(lat == e and budget == FAST for lat, budget in calls), calls
     assert calls  # R restricted to C_5, classified last, is searched
 
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("name", ["Y0", "Y1"])
+def test_catalog_identities_decide_m_before_any_search(monkeypatch, name, p):
+    """T35 pads Y0 by Z[G/<tau>] and T34 pads Y1 by Z: classify reads both
+    off M at the default budget, before the resolution and with no iso."""
     _refuse_iso(monkeypatch)
-    v = classify(build("Y1", 7), budget=FAST)
+    v = classify(build(name, p))
     assert v.reason == "character lattice is stably permutation by explicit witness"
-    assert v.evidence["padding"] == ["D_7"] and not v.by_theorem
+    assert v.evidence["padding"] == (["D_1"] if name == "Y0" else [f"D_{p}"])
+    assert v.status == "StablyRational" and not v.by_theorem
+
+
+def test_every_explicit_verdict_is_a_checked_sequence():
+    """Permutation lattices included, every explicit verdict over the census
+    singletons and pair sums at p = 3 and 5 and the census restricted to C_5
+    carries the padding, target and total rank of its checked sequence."""
+    inputs = [build(name, p) for p in (3, 5) for name in LEE_NAMES]
+    inputs += [direct_sum(build(a, p), build(b, p)) for p in (3, 5) for a, b in itertools.combinations(LEE_NAMES, 2)]
+    c5 = class_by_label(dihedral(5), "C_5")
+    inputs += [restrict(build(name, 5), c5) for name in LEE_NAMES]
+    explicit = 0
+    for m in inputs:
+        v = classify(m, budget=FAST)
+        if v.status == "StablyRational" and not v.by_theorem:
+            explicit += 1
+            assert {"padding", "target", "sequence_total_rank"} <= set(v.evidence), v
+            assert "orbit_types" not in v.evidence, v
+    assert explicit >= 107  # of 120; the rest are decided by h_p^+
 
 
 def test_permutation_resolutions_have_stably_permutation_parts():

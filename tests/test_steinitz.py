@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 from math import isqrt
 
 import pytest
@@ -24,6 +25,7 @@ from glattice.cyclotomic import (
     elem_mul,
     factor_cyclotomic_mod,
     field_norm,
+    ideal_cyclic_lattice,
     ideal_from_rows,
     ideal_inverse,
     ideal_mul,
@@ -101,6 +103,28 @@ def test_order_ideal_examples():
         p=5, dim=4, relations=mult_matrix(5, [2, 0, 0, 0]), zmat=mult_matrix(5, [0, 1, 0, 0]).transpose()
     )
     assert order_ideal(t, 5).norm() == 16
+
+
+def test_order_ideal_stops_trial_division_at_the_square_root():
+    """The C_3 ideal lattice of a prime above q = 1,000,000,009 has torsion of
+    prime order 782,550,079; its order ideal needs trial division only up to
+    the square root, so the Steinitz class takes seconds, not a minute."""
+    q = 1_000_000_009
+    lat = ideal_cyclic_lattice(prime_ideal_above(3, q, factor_cyclotomic_mod(3, q)[0]))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("steinitz_class took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        rep = steinitz_class(lat)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rep.known_trivial
+    assert rep.ideal.norm() == 782_550_079
+    assert rep.generator == (31718, 10565)
 
 
 def test_principality_examples():
