@@ -19,6 +19,7 @@ from .exactla import (
     det,
     express_rows,
     is_unimodular,
+    resultant,
     row_space_hnf,
     smith_with_vinv,
 )
@@ -149,6 +150,16 @@ def circulant(c) -> IntMatrix:
     if n < 1:
         raise LatticeError("circulant needs at least one coefficient")
     return IntMatrix([[c[(i - j) % n] for j in range(n)] for i in range(n)])
+
+
+def circulant_det(c) -> int:
+    """det(circulant(c)) as Res(x^n - 1, c_0 + c_1 x + ... + c_{n-1} x^{n-1}),
+    the product of that polynomial over the n-th roots of unity."""
+    c = [int(x) for x in c]
+    n = len(c)
+    if n < 1:
+        raise LatticeError("circulant needs at least one coefficient")
+    return resultant([-1] + [0] * (n - 1) + [1], c)
 
 
 def circulant_pattern_one(n: int) -> list[int]:

@@ -16,6 +16,7 @@ from .exactla import (
     det,
     express_rows,
     kernel_basis,
+    resultant,
     row_space_hnf,
 )
 from .groups import cyclic
@@ -82,8 +83,9 @@ def elem_mul(p: int, a, b) -> tuple:
 
 
 def field_norm(p: int, alpha) -> int:
-    """Norm of an element: determinant of multiplication by it."""
-    return det(mult_matrix(p, alpha))
+    """Norm of an element, Res(Phi_p, alpha): the determinant of multiplication
+    by alpha, without building that matrix."""
+    return resultant([1] * p, alpha)
 
 
 def one_element(p: int) -> tuple:

@@ -24,11 +24,16 @@ elimination, and each routine keeps only the transforms its callers read:
   neither normalizes nor reduces the pivot rows above them.
 - `echelon`: h and its pivot columns without u, for `row_space_hnf` and
   membership tests.
+
+`resultant` answers "the norm of f in Z[x]/(g)" as Res(g, f) without an
+n x n matrix: circulant determinants (g = x^n - 1) and field norms
+(g = Phi_p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -551,6 +556,61 @@ def det(m: IntMatrix) -> int:
             ai[k] = 0
         prev = akk
     return sign * a[n - 1][n - 1]
+
+
+def resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(a, b) of two integer polynomials given by their coefficients from
+    degree 0 up, by the sub-resultant remainder sequence (Cohen, GTM 138,
+    Alg. 3.3.7).  Each remainder is divided exactly by g h^delta, which keeps
+    the coefficients bounded; a zero polynomial gives 0."""
+    a, b = _trim(a), _trim(b)
+    if not a or not b:
+        return 0
+    ca, cb = gcd(*a), gcd(*b)
+    da, db = len(a) - 1, len(b) - 1
+    scale = ca**db * cb**da
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        sign = -1 if da & db & 1 else 1
+    g = h = 1
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        a, da = b, db
+        div = g * h**delta
+        b = [x // div for x in r]
+        db = len(b) - 1
+        g = a[-1]
+        h = g**delta * h // h**delta
+    return sign * scale * (b[0] ** da * h // h**da)
+
+
+def _trim(p: Sequence[int]) -> list[int]:
+    """p without its zero coefficients of top degree."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """r with lc(b)^(deg a - deg b + 1) a = q b + r and deg r < deg b, trimmed."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    for k in range(len(a) - 1, db - 1, -1):
+        q = r.pop()
+        if lb != 1:
+            r = [lb * x for x in r]
+        if q:
+            for j in range(db):
+                r[k - db + j] -= q * b[j]
+    return _trim(r)
 
 
 def is_unimodular(m: IntMatrix) -> bool:

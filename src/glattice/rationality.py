@@ -29,7 +29,7 @@ from .exactla import (
     smith_with_vinv,
     solve_with_hnf,
 )
-from .groups import class_by_label, elements, subgroup_classes
+from .groups import GroupElement, class_by_label, subgroup_classes
 from .lattices import (
     ExtensionSpec,
     GLattice,
@@ -203,14 +203,10 @@ def iso(a: GLattice, b: GLattice, budget: Budget = DEFAULT_BUDGET) -> IsoResult:
     candidate = _candidate_maker(basis)
     radius = budget.box_radius
     cap = budget.draws
-    if (2 * radius + 1) ** d <= cap * 4:
+    if (box_size := (2 * radius + 1) ** d) <= cap * 4:
         # the box, smallest coefficients first, capped by the draw budget
-        box = sorted(
-            itertools.product(range(-radius, radius + 1), repeat=d),
-            key=lambda c: sum(map(abs, c)),
-        )
-        coords = box[1 : cap + 1]  # box[0] is the zero vector
-        failure = f"box cap {cap} hit" if len(box) - 1 > cap else f"box {radius} exhausted"
+        coords = itertools.islice(_box_by_l1(d, radius), 1, cap + 1)  # skip the zero vector
+        failure = f"box cap {cap} hit" if box_size - 1 > cap else f"box {radius} exhausted"
     else:
         rng = random.Random(budget.seed)
         coords = ([rng.randint(-radius, radius) for _ in range(d)] for _ in range(cap))
@@ -219,6 +215,27 @@ def iso(a: GLattice, b: GLattice, budget: Budget = DEFAULT_BUDGET) -> IsoResult:
         if any(c) and (cand := candidate(c)) is not None and _verify_iso(a, b, cand):
             return IsoResult("iso", LatticeMap(a, b, cand))
     return IsoResult("unknown", detail=f"{failure}, dim {d}")
+
+
+def _box_by_l1(d: int, radius: int):
+    """The points of [-radius, radius]^d one l1 shell at a time, each shell in
+    `itertools.product` order: the stable sort of the box by l1 norm."""
+    for total in range(d * radius + 1):
+        yield from _l1_shell(d, radius, total)
+
+
+def _l1_shell(d: int, radius: int, total: int):
+    """The points of the box with l1 norm `total`, in `itertools.product`
+    order; d >= 1 and total <= d * radius."""
+    if d == 1:
+        yield (-total,)
+        if total:
+            yield (total,)
+        return
+    for v in range(-radius, radius + 1):
+        if 0 <= total - abs(v) <= radius * (d - 1):
+            for rest in _l1_shell(d - 1, radius, total - abs(v)):
+                yield (v, *rest)
 
 
 def _candidate_maker(basis: list[IntMatrix]):
@@ -278,8 +295,17 @@ def permutation_decomposition(m: GLattice) -> tuple[list[str], IntMatrix] | None
     if not m.is_permutation:
         return None
     g = m.group
-    # acts[a][k] is the index of the basis vector rho(a) sends e_k to
-    acts = {a: [col.index(1) for col in m.rho(a).transpose().data] for a in elements(g)}
+    # acts[a][k] is the index of the basis vector rho(a) sends e_k to.  A
+    # generator sends e_k to the row holding the 1 of its column k, and
+    # rho(sigma^r tau) applies tau first.
+    sigma, *tau = ({row.index(1): i for i, row in enumerate(x.data)} for x in m.gens)
+    power = list(range(m.rank))
+    acts = {}
+    for r in range(g.n):
+        acts[GroupElement(r, 0)] = power
+        for t in tau:
+            acts[GroupElement(r, 1)] = [power[t[k]] for k in range(m.rank)]
+        power = [sigma[k] for k in power]
     by_representative = {c.representative: c.label for c in subgroup_classes(g)}
     orbits = []
     seen = set()

@@ -2,6 +2,7 @@
 
 import os
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from glattice.catalog import (
     WitnessRecord,
     build,
     circulant,
+    circulant_det,
     circulant_pattern_one,
     circulant_pattern_two,
     is_prime,
@@ -204,6 +206,40 @@ def test_circulant_against_resultant_oracle():
         n = rng.randint(1, 15)
         c = [rng.randint(-3, 3) for _ in range(n)]
         assert det(circulant(c)) == resultant_with_xn_minus_1(c, n)
+
+
+def test_circulant_det_equals_bareiss_on_the_edge_cases():
+    """Res(x^n - 1, f) against the Bareiss determinant of the matrix: all
+    zeros, n = 1, trailing zeros (down to a constant f) and f(1) = 0."""
+    cases = [[0] * n for n in (1, 2, 5)] + [[c] for c in (-4, 0, 1, 7)]
+    cases += [[2, 0, 0], [-3, 0, 0, 0, 0], [1, 2, 0, 0], [0, 0, 5, 0, 0, 0], [0, 0, 0, 1]]
+    cases += [[1, -1], [1, 1, -2], [2, 0, -1, -1, 0], [3, -1, -1, -1, 0, 0]]  # f(1) = 0
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        cases.append([rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)])
+    for c in cases:
+        assert circulant_det(c) == det(circulant(c)), c
+    assert [circulant_det(c) for c in ([1, -1], [1, 1, -2], [0] * 5)] == [0, 0, 0]
+    with pytest.raises(LatticeError):
+        circulant_det([])
+
+
+def test_circulant_det_patterns_at_n_1001():
+    """Both L36 patterns at n = 1001, within 10 s."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError("circulant_det at n = 1001 took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        one = circulant_det(circulant_pattern_one(1001))
+        two = circulant_det(circulant_pattern_two(1001))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (one, two) == (500, -1)
 
 
 @pytest.mark.parametrize("wid,dets", [("T34", {1}), ("T35", {1, -1}), ("T37", {-1}), ("L46", {1})])

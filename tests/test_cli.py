@@ -57,6 +57,15 @@ def test_verify_pass_and_fail_codes(capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_verify_l36_prints_every_determinant(capsys):
+    """L36 checks both circulant determinants as resultants; the lines are
+    the closed forms (n-1)/2 and -1 for every odd n in 3..101."""
+    assert run(["verify", "--id", "L36", "--n-min", 3, "--n-max", 101]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"L36 n={n}: pass (det1={(n - 1) // 2} det2=-1)\n" for n in range(3, 102, 2)
+    )
+
+
 def test_table_command(tmp_path, capsys):
     out = tmp_path / "table3.json"
     assert run(["table", "--p", 3, "--out", out]) == 0

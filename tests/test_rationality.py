@@ -28,6 +28,7 @@ from glattice.rationality import (
     CLASSIFY_RANK_CAP,
     PERM_PART_CACHE_SIZE,
     Budget,
+    _box_by_l1,
     _candidate_maker,
     _perm_part,
     _verify_iso,
@@ -607,6 +608,15 @@ def _iso_oracle_cases():
     target = perm_from_decomposition(g, ["D_3", "D_3", "1"])
     cases.append((padded, target, Budget(box_radius=2, draws=3000)))
     return cases
+
+
+def test_box_shells_follow_the_stable_sort_of_the_box():
+    """iso's box comes one l1 shell at a time, in the order of the stable
+    sort of `itertools.product` by l1 norm."""
+    for d in range(1, 5):
+        for radius in range(4):
+            box = itertools.product(range(-radius, radius + 1), repeat=d)
+            assert list(_box_by_l1(d, radius)) == sorted(box, key=lambda c: sum(map(abs, c)))
 
 
 def test_iso_matches_the_unscreened_oracle():

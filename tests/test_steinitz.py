@@ -127,6 +127,20 @@ def test_order_ideal_stops_trial_division_at_the_square_root():
     assert rep.generator == (31718, 10565)
 
 
+def test_field_norm_is_the_determinant_of_multiplication():
+    """Res(Phi_p, alpha) against the Bareiss determinant of mult_matrix(p,
+    alpha) for p <= 23: zero, units, reduced coordinates and longer
+    polynomials in zeta."""
+    rng = random.Random(67)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        alphas = [[0] * (p - 1), [1], [0, 1], [1, -1]]
+        for _ in range(12):
+            size = rng.choice((p - 1, p - 1, rng.randint(1, p + 3)))
+            alphas.append([rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(size)])
+        for alpha in alphas:
+            assert field_norm(p, alpha) == det(mult_matrix(p, alpha)), (p, alpha)
+
+
 def test_principality_examples():
     assert principality(unit_ideal(5)).generator is not None
     two = principal_ideal(5, [2, 0, 0, 0])

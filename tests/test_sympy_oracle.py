@@ -1,6 +1,7 @@
-"""`snf`, `hnf`, `det`, `kron`, `factor_cyclotomic_mod` and `is_prime` against
-sympy, an independent exact implementation, and the eliminations that skip
-transforms against `snf`, `hnf` and `inverse_unimodular`."""
+"""`snf`, `hnf`, `det`, `kron`, `resultant`, `factor_cyclotomic_mod` and
+`is_prime` against sympy, an independent exact implementation, and the
+eliminations that skip transforms against `snf`, `hnf` and
+`inverse_unimodular`."""
 
 import random
 
@@ -12,9 +13,11 @@ from sympy import (
     isprime,
     kronecker_product,
     primerange,
+    resultant as sympy_resultant,
     symbols,
 )
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from glattice.cyclotomic import factor_cyclotomic_mod, is_prime
 from glattice.exactla import (
@@ -24,6 +27,7 @@ from glattice.exactla import (
     hnf,
     inverse_unimodular,
     kron,
+    resultant,
     smith_diagonal,
     smith_with_vinv,
     snf,
@@ -54,6 +58,37 @@ def test_snf_diagonal_matches_sympy_invariant_factors():
 def test_det_matches_sympy():
     for m in _matrices(43, square=True):
         assert det(m) == int(Matrix(m.tolists()).det(method="berkowitz")), m
+
+
+def test_resultant_matches_sympy():
+    """Seeded polynomials up to degree 9, some with a content above 1 or zero
+    top coefficients, against sympy's `resultant`, and the first 40 pairs of
+    positive degree also against the determinant of sympy's Sylvester matrix.
+    sympy's `resultant` is asked with deg a >= deg b only: given deg a < deg b
+    it returns Res(b, a), whose sign differs when both degrees are odd, so
+    then Res(a, b) = (-1)^(deg a deg b) Res(b, a) is compared."""
+    x = symbols("x")
+    rng = random.Random(61)
+    compared = 0
+    for _ in range(400):
+        a, b = ([rng.randint(-6, 6) for _ in range(rng.randint(1, 10))] for _ in range(2))
+        a = [3 * c for c in a] if rng.random() < 0.2 else a + [0] * rng.randint(0, 2)
+        fa, fb = (Poly(list(reversed(c)), x) for c in (a, b))
+        got = resultant(a, b)
+        if fa.is_zero or fb.is_zero:
+            assert got == 0, (a, b)
+        elif fa.degree() == 0 or fb.degree() == 0:
+            # Res(c, f) = c^deg f and Res(f, c) = c^deg f
+            assert got == int(fa.LC() ** fb.degree() * fb.LC() ** fa.degree()), (a, b)
+        else:
+            if fa.degree() >= fb.degree():
+                assert got == int(sympy_resultant(fa, fb)), (a, b)
+            else:
+                assert got == (-1) ** (fa.degree() * fb.degree()) * int(sympy_resultant(fb, fa)), (a, b)
+            if compared < 40:
+                assert got == int(sylvester(fa.as_expr(), fb.as_expr(), x).det()), (a, b)
+            compared += 1
+    assert compared > 300
 
 
 def test_kron_matches_sympy_kronecker_product():
