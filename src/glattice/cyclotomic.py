@@ -9,18 +9,16 @@ short-vector work elsewhere uses exact rationals on the trace form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .exactla import (
     IntMatrix,
     det,
     express_rows,
-    kernel_basis,
     resultant,
     row_space_hnf,
 )
 from .groups import cyclic
-from .lattices import GLattice, LatticeError
+from .lattices import GLattice
 
 
 def is_prime(n: int) -> bool:
@@ -200,164 +198,6 @@ def ideal_mul(a: IdealHNF, b: IdealHNF) -> IdealHNF:
         raise NotImplementedError("ideal products run over the full cyclotomic ring")
     p = a.p
     rows = [list(elem_mul(p, ra, rb)) for ra in a.basis.data for rb in b.basis.data]
-    return ideal_from_rows(p, IntMatrix(rows, cols=p - 1))
-
-
-def ideal_inverse(a: IdealHNF) -> IdealHNF:
-    """Integral representative C / g of the class of (R : A) = C / N, with
-    C = {y : y.A inside N.R}, N = norm(A) and g = gcd(N, entries of C)."""
-    if a.real_subfield:
-        raise NotImplementedError("inverse only needed over the full ring")
-    p = a.p
-    n = a.norm()
-    degree = p - 1
-    blocks = [mult_matrix(p, list(row)) for row in a.basis.data]
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.hstack(b)
-    # y in Z^degree with y*stacked = n * z
-    aug = stacked.vstack(IntMatrix([[n if i == j else 0 for j in range(stacked.cols)] for i in range(stacked.cols)]))
-    kern = kernel_basis(aug)
-    ys = [row[:degree] for row in kern.data]
-    g = gcd(n, *(x for row in ys for x in row))
-    return ideal_from_rows(p, IntMatrix([[x // g for x in row] for row in ys], cols=degree))
-
-
-# --- factorization of the cyclotomic polynomial mod ell ----------------------
-
-
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
-def _poly_mul_mod(a, b, f, ell):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % ell
-    return _poly_divmod(out, f, ell)[1]
-
-
-def _poly_gcd(a, b, ell):
-    a = _poly_trim([x % ell for x in a]) or [0]
-    b = _poly_trim([x % ell for x in b]) or [0]
-    while b != [0]:
-        a, b = b, _poly_divmod(a, b, ell)[1]
-    # monic normalize
-    if a != [0]:
-        inv = pow(a[-1], -1, ell)
-        a = [(x * inv) % ell for x in a]
-    return a
-
-
-def _poly_powmod(base, e, f, ell):
-    result = [1]
-    base = _poly_divmod(base, f, ell)[1]
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, f, ell)
-        base = _poly_mul_mod(base, base, f, ell)
-        e >>= 1
-    return result
-
-
-def _poly_sub(a, b, ell):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % ell
-    return _poly_trim([x % ell for x in out]) or [0]
-
-
-def factor_cyclotomic_mod(p: int, ell: int) -> list[list[int]]:
-    """Monic irreducible factors of Phi_p mod ell (distinct unless ell = p).
-
-    For ell = p the single factor X - 1 is returned (with multiplicity
-    p - 1 implied).  Otherwise all factors share degree ord_p(ell).
-    """
-    _check_p(p)
-    if ell == p:
-        return [[-1 % p, 1]]
-    phi = [1] * p  # 1 + X + ... + X^{p-1}
-    d = 1
-    r = ell % p
-    while r != 1:
-        r = (r * ell) % p
-        d += 1
-    count = (p - 1) // d
-    factors = [phi]
-    rng_state = [17]
-
-    def next_rand_poly(deg):
-        out = []
-        for _ in range(deg):
-            rng_state[0] = (rng_state[0] * 1103515245 + 12345) % (2**31)
-            # the low bits of this generator have short periods (bit 0
-            # alternates), so the coefficient comes from bits 16 and up
-            out.append((rng_state[0] >> 16) % ell)
-        return _poly_trim(out) or [0]
-
-    result = []
-    while factors:
-        f = factors.pop()
-        if (len(f) - 1) == d:
-            inv = pow(f[-1], -1, ell)
-            result.append([(x * inv) % ell for x in f])
-            continue
-        # Cantor-Zassenhaus equal-degree split
-        while True:
-            a = next_rand_poly(len(f) - 1)
-            if _poly_trim(a) in ([], [0]):
-                continue
-            if ell == 2:
-                # trace map over F_2
-                t = list(a)
-                acc = list(a)
-                for _ in range(d - 1):
-                    acc = _poly_mul_mod(acc, acc, f, ell)
-                    t = _poly_sub(t, [(-x) % ell for x in acc], ell)
-                g = _poly_gcd(f, t, ell)
-            else:
-                e = (ell**d - 1) // 2
-                b = _poly_powmod(a, e, f, ell)
-                g = _poly_gcd(f, _poly_sub(b, [1], ell), ell)
-            if g != [0] and 0 < len(g) - 1 < len(f) - 1:
-                q, rr = _poly_divmod(f, g, ell)
-                if rr != [0]:
-                    raise LatticeError(f"split factor does not divide modulo {ell}")
-                factors.append(g)
-                factors.append(q)
-                break
-    if len(result) != count:
-        raise LatticeError(f"found {len(result)} of {count} factors modulo {ell}")
-    return sorted(result)
-
-
-def _poly_divmod(a, b, ell):
-    a = [x % ell for x in a]
-    b = _poly_trim([x % ell for x in b])
-    db = len(b) - 1
-    inv = pow(b[-1], -1, ell)
-    q = [0] * max(1, len(a) - db)
-    r = list(a)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = (r[i] * inv) % ell
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % ell
-    return _poly_trim(q) or [0], _poly_trim(r) or [0]
-
-
-def prime_ideal_above(p: int, ell: int, factor: list[int]) -> IdealHNF:
-    """(ell, g(zeta)) for a factor g of Phi_p mod ell."""
-    rows = [[ell if i == j else 0 for j in range(p - 1)] for i in range(p - 1)]
-    g_coords = reduce_poly(p, [x % ell for x in factor])
-    rows.extend(mult_matrix(p, g_coords).data)
     return ideal_from_rows(p, IntMatrix(rows, cols=p - 1))
 
 

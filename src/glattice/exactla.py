@@ -13,7 +13,7 @@ elimination, and each routine keeps only the transforms its callers read:
 
 - `snf`: the diagonal, u and v.
 - `smith_diagonal`: the diagonal alone, for `cokernel_invariants`,
-  `is_saturated`, `lattice_index` and `AbelianInvariants.__add__`.
+  `is_saturated` and `AbelianInvariants.__add__`.
 - `smith_with_vinv`: the diagonal and v^-1, tracked as the inverse row
   operation of every column operation on v, for the saturation test and
   basis completion of `lattices.quotient_with_maps`, the missing generator in `rationality` and the cocycles of
@@ -681,20 +681,3 @@ def is_saturated(basis: IntMatrix) -> bool:
     """True when Z^cols / rowspace(basis) is torsion-free."""
     diag = smith_diagonal(basis)
     return all(d == 1 for d in diag if d != 0) and sum(1 for d in diag if d) == basis.rows
-
-
-def lattice_index(sup: IntMatrix, sub: IntMatrix) -> int | None:
-    """Index [sup : sub] for sub contained in sup (row lattices, equal rank).
-
-    Returns None when sub is not contained in sup or the ranks differ.
-    """
-    coords = express_rows(sup, sub)
-    if coords is None:
-        return None
-    diag = smith_diagonal(coords)
-    if sum(1 for d in diag if d) < sup.rows:
-        return None
-    idx = 1
-    for d in diag:
-        idx *= d
-    return abs(idx)

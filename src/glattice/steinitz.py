@@ -1,34 +1,27 @@
-"""Steinitz classes of C_p-lattices via cyclotomic order ideals.
+"""Steinitz classes of C_p-lattices from one Hermite form.
 
-The route: split off the sigma-fixed part, view the quotient as a
-module over Z[zeta_p], pick a maximal free submodule, and read the class
-off the finite quotient's order ideal (inverted, so free modules give
-the unit ideal and an ideal module I gives [I]).  Principality testing
-is a bounded short-vector search on the trace form; it can confirm a
-class is trivial, never refute it.
+The route: split off the sigma-fixed part N_0, view N/N_0 as a module over
+Z[zeta_p], pick a free submodule F of full rank, and read the class off the
+Hermite form of N/N_0 in F's coordinates (see `steinitz_class`), so free
+modules give the unit ideal and an ideal module I gives [I].  Principality
+testing is a bounded short-vector search on the trace form; it can confirm
+a class is trivial, never refute it.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from functools import reduce
+from math import floor, gcd
 
-from .exactla import (
-    IntMatrix,
-    det,
-    lattice_index,
-    row_space_hnf,
-)
+from .exactla import IntMatrix, det, express_rows, row_space_hnf
 from .cyclotomic import (
     IdealHNF,
-    factor_cyclotomic_mod,
     field_norm,
-    ideal_inverse,
+    ideal_from_rows,
     ideal_mul,
     is_prime,
     one_element,
-    prime_ideal_above,
     principal_ideal,
     unit_ideal,
 )
@@ -42,28 +35,10 @@ def _check_cp(n: GLattice) -> int:
     return g.n
 
 
-@dataclass(frozen=True)
-class TorsionModule:
-    """Finite Z[zeta_p]-module: Z^dim / relations, zeta acting by zmat."""
-
-    p: int
-    dim: int
-    relations: IntMatrix  # full-rank row lattice
-    zmat: IntMatrix  # column action, satisfies Phi_p(zmat) = 0 mod relations
-
-    @property
-    def order(self) -> int:
-        return abs(det(self.relations))
-
-
-@dataclass(frozen=True)
-class IdealModuleData:
-    t: int
-    torsion: TorsionModule
-
-
-def ideal_module(n: GLattice) -> IdealModuleData:
-    """Realize N/N_0 over Z[zeta_p] with a maximal free submodule."""
+def ideal_module(n: GLattice) -> tuple[int, IntMatrix]:
+    """(t, basis) for N/N_0 over Z[zeta_p]: a free submodule F of full rank t,
+    its Z-basis in orbit order, the rows zeta^k f_i for k = 0..p-2 within
+    each i = 1..t, in the coordinates of N/N_0."""
     p = _check_cp(n)
     q = quotient_with_maps(n, full_fixed_sublattice(n))
     zq = q.lattice.sigma
@@ -91,69 +66,7 @@ def ideal_module(n: GLattice) -> IdealModuleData:
             rank_now = rank
     if len(chosen) < t:
         raise LatticeError("failed to locate a maximal free submodule")
-    torsion = TorsionModule(
-        p=p, dim=m, relations=row_space_hnf(IntMatrix(span_rows, cols=m)), zmat=zq
-    )
-    return IdealModuleData(t=t, torsion=torsion)
-
-
-def _apply_poly(poly, zmat: IntMatrix) -> IntMatrix:
-    out = IntMatrix.zero(zmat.rows, zmat.rows)
-    power = IntMatrix.identity(zmat.rows)
-    for c in poly:
-        if c:
-            out = out + power * int(c)
-        power = power * zmat
-    return out
-
-
-def order_ideal(torsion: TorsionModule, p: int) -> IdealHNF:
-    """0th Fitting-style order ideal: product of p^(length) over primes p."""
-    result = unit_ideal(p)
-    remaining = torsion.order
-    ell = 2
-    while remaining > 1:
-        if ell * ell > remaining:
-            ell = remaining  # no factor up to its square root: what remains is prime
-        if remaining % ell:
-            ell += 1
-            continue
-        while remaining % ell == 0:
-            remaining //= ell
-        for factor in factor_cyclotomic_mod(p, ell):
-            prime = prime_ideal_above(p, ell, factor)
-            norm_prime = prime.norm()
-            g_z = _apply_poly(factor, torsion.zmat)
-            level = IntMatrix.identity(torsion.dim)
-            length = 0
-            while True:
-                nxt_rows = (
-                    [[ell * x for x in row] for row in level.data]
-                    + [list(g_z.matvec(row)) for row in level.data]
-                    + list(torsion.relations.data)
-                )
-                nxt = row_space_hnf(IntMatrix(nxt_rows, cols=torsion.dim))
-                idx = lattice_index(level, nxt)
-                if idx is None:
-                    raise LatticeError("order-ideal filtration step is not a full-rank sublattice")
-                if idx == 1:
-                    break
-                dim_drop = 0
-                while idx > 1:
-                    if idx % norm_prime:
-                        raise LatticeError("index is not a power of the residue norm")
-                    idx //= norm_prime
-                    dim_drop += 1
-                length += dim_drop
-                level = nxt
-            for _ in range(length):
-                result = ideal_mul(result, prime)
-        ell += 1
-    if result.norm() != torsion.order:
-        raise LatticeError(
-            f"order ideal norm {result.norm()} != module order {torsion.order}"
-        )
-    return result
+    return t, IntMatrix(span_rows, cols=m)
 
 
 # --- short vector search ------------------------------------------------------
@@ -293,11 +206,25 @@ class SteinitzClassRep:
 
 
 def steinitz_class(n: GLattice, search_bound: int = 3) -> SteinitzClassRep:
-    """cl(N) as an integral ideal class representative."""
+    """cl(N) as an integral ideal class representative.
+
+    With D = [N/N_0 : F], the rows of D * basis^-1 are D times the coordinates
+    of N/N_0 along F = R f_1 + ... + R f_t (R = Z[zeta_p]), and diagonal
+    block i of their Hermite form spans D * J_i, where J_1 ... J_t are the
+    coefficient ideals of a pseudo-basis (Cohen, GTM 193, Ch. 1).  The
+    representative is the product of the blocks over its content: the
+    integral ideal among the rational multiples of J_1 ... J_t that no
+    integer above 1 divides.
+    """
     p = _check_cp(n)
-    data = ideal_module(n)
-    ideal = order_ideal(data.torsion, p)
-    rep = ideal_inverse(ideal)
+    _, basis = ideal_module(n)
+    coords = express_rows(basis, IntMatrix.identity(basis.rows) * abs(det(basis)))
+    h = row_space_hnf(coords)
+    blocks = [range(i, i + p - 1) for i in range(0, h.rows, p - 1)]
+    ideals = [ideal_from_rows(p, h.submatrix(block, block)) for block in blocks]
+    product = reduce(ideal_mul, ideals) if ideals else unit_ideal(p)
+    g = gcd(*(x for row in product.basis.data for x in row))
+    rep = ideal_from_rows(p, IntMatrix([[x // g for x in row] for row in product.basis.data]))
     found = principality(rep, search_bound=search_bound)
     return SteinitzClassRep(
         ideal=rep, known_trivial=bool(found), generator=found.generator

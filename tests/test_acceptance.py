@@ -202,11 +202,8 @@ def test_criterion_09_steinitz_suite():
             rep = steinitz_class(restrict(build(name, p), csig))
             assert rep.known_trivial and rep.generator is not None, (name, p)
     # the C_p obstruction path on an asserted-non-principal input
-    from glattice.cyclotomic import (
-        factor_cyclotomic_mod,
-        ideal_cyclic_lattice,
-        prime_ideal_above,
-    )
+    from glattice.cyclotomic import ideal_cyclic_lattice
+    from steinitz_oracle import factor_cyclotomic_mod, prime_ideal_above
 
     b = prime_ideal_above(23, 2, factor_cyclotomic_mod(23, 2)[0])
     lat = ideal_cyclic_lattice(b)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON round-trips, determinism."""
 
 import json
+import signal
 
 import pytest
 
@@ -10,7 +11,8 @@ from glattice.catalog import build
 from glattice.groups import cyclic, dihedral
 from glattice.exactla import IntMatrix
 from glattice.lattices import direct_sum, sign_lattice
-from glattice.cyclotomic import factor_cyclotomic_mod, ideal_cyclic_lattice, prime_ideal_above, unit_ideal
+from glattice.cyclotomic import ideal_cyclic_lattice, unit_ideal
+from steinitz_oracle import factor_cyclotomic_mod, prime_ideal_above
 
 
 def run(args):
@@ -182,6 +184,29 @@ def test_steinitz_search_bound_below_one_exits_3(tmp_path, capsys):
         assert run(["steinitz", "--in", lat_path, "--search-bound", bound]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "search_bound" in err
+
+
+def test_steinitz_of_a_prime_above_47_at_p23_is_inconclusive_within_5_s(tmp_path):
+    """Degree 22 is above the principality search's limit, so the class is
+    reported unconfirmed (exit 2), and the class itself takes no search."""
+    ideal = prime_ideal_above(23, 47, factor_cyclotomic_mod(23, 47)[0])
+    lat_path = tmp_path / "p47.json"
+    lat_path.write_text(json.dumps(serialize.lattice_to_json(ideal_cyclic_lattice(ideal))))
+    out = tmp_path / "s.json"
+
+    def too_slow(signum, frame):
+        raise TimeoutError("lat steinitz took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        code = run(["steinitz", "--in", lat_path, "--out", out])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    data = serialize.load(out)
+    assert data["known_trivial"] is False and data["generator"] is None
 
 
 def _bad_lattices():

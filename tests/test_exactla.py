@@ -24,13 +24,13 @@ from glattice.exactla import (
     is_unimodular,
     kernel_basis,
     kron,
-    lattice_index,
     right_kernel_basis,
     row_space_hnf,
     smith_with_vinv,
     snf,
     solve_left,
 )
+from steinitz_oracle import lattice_index
 
 
 def det_cofactor(m: IntMatrix) -> int:

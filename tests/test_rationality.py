@@ -361,11 +361,8 @@ def test_permutation_resolutions_have_stably_permutation_parts():
 
 
 def test_classify_c23_obstruction():
-    from glattice.cyclotomic import (
-        factor_cyclotomic_mod,
-        ideal_cyclic_lattice,
-        prime_ideal_above,
-    )
+    from glattice.cyclotomic import ideal_cyclic_lattice
+    from steinitz_oracle import factor_cyclotomic_mod, prime_ideal_above
 
     b = prime_ideal_above(23, 2, factor_cyclotomic_mod(23, 2)[0])
     lat = ideal_cyclic_lattice(b)

@@ -23,29 +23,30 @@ from glattice.lattices import (
 from glattice.catalog import LEE_NAMES, _nonsplit_extension, build
 from glattice.cyclotomic import (
     elem_mul,
-    factor_cyclotomic_mod,
     field_norm,
     ideal_cyclic_lattice,
     ideal_from_rows,
-    ideal_inverse,
     ideal_mul,
     mult_matrix,
-    prime_ideal_above,
     principal_ideal,
     unit_ideal,
 )
 from glattice.steinitz import (
-    TorsionModule,
     default_class_table,
     ideal_module,
-    order_ideal,
     principality,
     short_vectors,
     steinitz_class,
 )
 from steinitz_oracle import (
+    TorsionModule,
     class_multiplicativity_check,
+    factor_cyclotomic_mod,
+    ideal_inverse,
     minkowski_h_is_one,
+    order_ideal,
+    order_ideal_class,
+    prime_ideal_above,
     same_class,
     sublattice_action,
 )
@@ -77,14 +78,22 @@ def test_n0_n1_examples():
 
 
 def test_ideal_module_examples():
+    # (t, basis of F): F is all of N/N_0 for free modules, so [N/N_0 : F] = 1
     p = 5
-    assert ideal_module(regular_cp(p)).t == 1
-    assert ideal_module(regular_cp(p)).torsion.order == 1
-    trivial = ideal_module(trivial_lattice(cyclic(p)))
-    assert trivial.t == 0 and trivial.torsion.order == 1
-    rr = direct_sum(r_as_cp(p), r_as_cp(p))
-    data = ideal_module(rr)
-    assert data.t == 2 and data.torsion.order == 1
+    t, basis = ideal_module(regular_cp(p))
+    assert t == 1 and basis.rows == p - 1 and abs(det(basis)) == 1
+    t, basis = ideal_module(trivial_lattice(cyclic(p)))
+    assert t == 0 and basis.rows == 0
+    t, basis = ideal_module(direct_sum(r_as_cp(p), r_as_cp(p)))
+    assert t == 2 and basis.rows == 2 * (p - 1) and abs(det(basis)) == 1
+    # an ideal P: F = R f for its first basis element f, in orbit order, so
+    # [P : F] = N(f) / N(P)
+    prime = prime_ideal_above(p, 11, factor_cyclotomic_mod(p, 11)[0])
+    lat = ideal_cyclic_lattice(prime)
+    t, basis = ideal_module(lat)
+    assert t == 1 and basis.data[0] == (1, 0, 0, 0)
+    assert all(basis.data[k + 1] == lat.sigma.matvec(basis.data[k]) for k in range(p - 2))
+    assert abs(det(basis)) * 11 == abs(field_norm(p, prime.basis.data[0]))
 
 
 def test_order_ideal_examples():
@@ -105,26 +114,68 @@ def test_order_ideal_examples():
     assert order_ideal(t, 5).norm() == 16
 
 
-def test_order_ideal_stops_trial_division_at_the_square_root():
-    """The C_3 ideal lattice of a prime above q = 1,000,000,009 has torsion of
-    prime order 782,550,079; its order ideal needs trial division only up to
-    the square root, so the Steinitz class takes seconds, not a minute."""
-    q = 1_000_000_009
-    lat = ideal_cyclic_lattice(prime_ideal_above(3, q, factor_cyclotomic_mod(3, q)[0]))
+def _within(seconds, fn, *args):
+    """fn(*args), or TimeoutError once `seconds` have passed."""
 
     def too_slow(signum, frame):
-        raise TimeoutError("steinitz_class took more than 10 s")
+        raise TimeoutError(f"{fn.__name__} took more than {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
+    signal.alarm(seconds)
     try:
-        rep = steinitz_class(lat)
+        return fn(*args)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_steinitz_class_of_a_prime_of_large_norm_at_p3():
+    """The C_3 ideal lattice of a prime above q = 1,000,000,009: its class
+    representative has norm 782,550,079 and a generator the search finds."""
+    q = 1_000_000_009
+    lat = ideal_cyclic_lattice(prime_ideal_above(3, q, factor_cyclotomic_mod(3, q)[0]))
+    rep = _within(10, steinitz_class, lat)
     assert rep.known_trivial
     assert rep.ideal.norm() == 782_550_079
     assert rep.generator == (31718, 10565)
+
+
+def test_steinitz_class_of_a_prime_above_47_at_p23_is_bounded():
+    """[N/N_0 : F] = 23 * 461 * 1381 * 1933 * 245494445849562491 here; the
+    order-ideal route trial-divided it for more than a minute.  The Hermite form
+    never factors it, and principality declines degree 22 at once."""
+    lat = ideal_cyclic_lattice(prime_ideal_above(23, 47, factor_cyclotomic_mod(23, 47)[0]))
+    rep = _within(5, steinitz_class, lat)
+    assert not rep.known_trivial and rep.generator is None
+
+
+def _equivalence_family():
+    """C_p lattices whose classes the order-ideal route also reaches in seconds:
+    census restrictions (t = 0, 1, 2), prime-ideal lattices above split,
+    inert and ramified ell, a sum with t = 3, a C_2 lattice and one p = 11 input."""
+    for p in (3, 5, 7):
+        csig = class_by_label(dihedral(p), f"C_{p}")
+        for name in LEE_NAMES:
+            yield f"{name}@{p}", restrict(build(name, p), csig)
+    primes = {}
+    for p, ell in ((3, 7), (5, 11), (3, 2), (5, 2), (7, 2), (7, 3), (3, 3), (5, 5)):
+        for i, factor in enumerate(factor_cyclotomic_mod(p, ell)):
+            primes[p, ell, i] = ideal_cyclic_lattice(prime_ideal_above(p, ell, factor))
+            yield f"P{ell}_{i}@{p}", primes[p, ell, i]
+    yield "P11_0+P11_1+R@5", direct_sum(primes[5, 11, 0], primes[5, 11, 1], r_as_cp(5))
+    yield "Z[C_2]+Z", direct_sum(regular_cp(2), trivial_lattice(cyclic(2)))
+    yield "P3_1@11", ideal_cyclic_lattice(prime_ideal_above(11, 3, factor_cyclotomic_mod(11, 3)[1]))
+
+
+def test_steinitz_class_matches_the_order_ideal_route():
+    """The Hermite-form representative and ideal_inverse(order_ideal(N/F))
+    are both the primitive integral multiple of det_F(N): the same HNF."""
+    ts = set()
+    for label, lat in _equivalence_family():
+        t, _ = ideal_module(lat)
+        ts.add(t)
+        assert steinitz_class(lat).ideal.basis == order_ideal_class(lat).basis, label
+    assert {0, 1, 2, 3} <= ts
 
 
 def test_field_norm_is_the_determinant_of_multiplication():

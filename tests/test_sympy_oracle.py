@@ -19,7 +19,7 @@ from sympy import (
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from glattice.cyclotomic import factor_cyclotomic_mod, is_prime
+from glattice.cyclotomic import is_prime
 from glattice.exactla import (
     IntMatrix,
     det,
@@ -32,6 +32,7 @@ from glattice.exactla import (
     smith_with_vinv,
     snf,
 )
+from steinitz_oracle import factor_cyclotomic_mod
 
 
 def _matrices(seed: int, square: bool):
