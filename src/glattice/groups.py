@@ -2,8 +2,8 @@
 
 Elements are pairs (rot, flip) for sigma^rot * tau^flip, multiplied by
 (a,0)(b,e) = (a+b, e) and (a,1)(b,e) = (a-b, 1-e).  Only C_n and D_n are
-modeled; subgroup enumeration is closed-form for cyclic groups and odd
-dihedral groups, exhaustive otherwise.
+modeled, for every n; their subgroup classes come from one closed form,
+each with the presentation generators that the cohomology reads.
 """
 
 from __future__ import annotations
@@ -51,26 +51,11 @@ class GroupElement:
     rot: int
     flip: int
 
-    @property
-    def is_identity(self) -> bool:
-        return self.rot == 0 and self.flip == 0
-
 
 def mul(g: GroupSpec, a: GroupElement, b: GroupElement) -> GroupElement:
     if a.flip:
         return GroupElement((a.rot - b.rot) % g.n, (1 - b.flip) % 2)
     return GroupElement((a.rot + b.rot) % g.n, b.flip)
-
-
-def inv(g: GroupSpec, a: GroupElement) -> GroupElement:
-    if a.flip:
-        return a
-    return GroupElement((-a.rot) % g.n, 0)
-
-
-def conjugate(g: GroupSpec, x: GroupElement, a: GroupElement) -> GroupElement:
-    """x * a * x^{-1}."""
-    return mul(g, mul(g, x, a), inv(g, x))
 
 
 def elements(g: GroupSpec) -> list[GroupElement]:
@@ -87,6 +72,9 @@ class SubgroupClass:
 
     label: str
     representative: tuple  # sorted GroupElements of the representative
+    # The presentation: (s,) for a cyclic S with s of order |S| (the lone
+    # reflection of a D_1), or (s, t) with s the smallest-angle rotation and t
+    # the smallest-angle reflection, s^(|S|/2) = t^2 = (ts)^2 = 1; () for 1.
     generators: tuple
     conjugate_count: int
 
@@ -98,125 +86,37 @@ class SubgroupClass:
         return self.label
 
 
-def _closure(g: GroupSpec, gens) -> frozenset:
-    seen = {GroupElement(0, 0)}
-    frontier = list(seen)
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = mul(g, a, b)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def _subgroup_from(g: GroupSpec, label: str, gens, conjugates: int) -> SubgroupClass:
-    members = _closure(g, gens)
-    return SubgroupClass(
-        label=label,
-        representative=tuple(sorted(members)),
-        generators=tuple(gens),
-        conjugate_count=conjugates,
-    )
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def all_subgroups(g: GroupSpec) -> list[frozenset]:
-    """Every subgroup, by exhaustive closure of generator pairs."""
-    els = elements(g)
-    found = set()
-    found.add(_closure(g, []))
-    for a in els:
-        found.add(_closure(g, [a]))
-        for b in els:
-            found.add(_closure(g, [a, b]))
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
 @lru_cache(maxsize=None)
 def subgroup_classes(g: GroupSpec) -> tuple[SubgroupClass, ...]:
-    """One representative per conjugacy class, trivial subgroup first.
+    """One representative per conjugacy class, sorted by (order, label).
 
-    Cyclic groups get one class per divisor.  Odd dihedral groups follow
-    the closed form {C_d : d | n} + {D_d : d | n}; even dihedral falls
-    back to exhaustive enumeration.  Memoized, so the result is a tuple.
+    For each d | n, with k = n/d: the rotations C_d = <r^k> ("1" at d = 1),
+    normal; and over D_n the D_d = <r^k, r^i s>.  Conjugation moves i by
+    2 and by sign, so for k odd they form one class of k conjugates, and
+    for k even two classes of k/2, i even (D_d) and i odd (D_d').
+    Memoized, so the result is a tuple.
     """
-    if g.kind == CYCLIC:
-        out = []
-        for d in _divisors(g.n):
-            label = "1" if d == 1 else f"C_{d}"
-            gens = [] if d == 1 else [GroupElement(g.n // d, 0)]
-            out.append(_subgroup_from(g, label, gens, 1))
-        return tuple(out)
-    if g.n % 2 == 1:
-        out = [_subgroup_from(g, "1", [], 1)]
-        for d in _divisors(g.n):
-            if d > 1:
-                out.append(
-                    _subgroup_from(g, f"C_{d}", [GroupElement(g.n // d, 0)], 1)
-                )
-        for d in _divisors(g.n):
-            gens = [GroupElement(0, 1)]
-            if d > 1:
-                gens = [GroupElement(g.n // d, 0), GroupElement(0, 1)]
-            out.append(_subgroup_from(g, f"D_{d}", gens, g.n // d))
-        out.sort(key=lambda c: (c.order, c.label))
-        return tuple(out)
-    return tuple(_subgroup_classes_exhaustive(g))
-
-
-def _subgroup_classes_exhaustive(g: GroupSpec) -> list[SubgroupClass]:
-    subs = all_subgroups(g)
-    els = elements(g)
-    seen: set[frozenset] = set()
     out = []
-    counters: dict[str, int] = {}
-    for sub in subs:
-        if sub in seen:
+    for d in range(1, g.n + 1):
+        if g.n % d:
             continue
-        orbit = {frozenset(conjugate(g, x, a) for a in sub) for x in els}
-        seen |= orbit
-        rotations_only = all(a.flip == 0 for a in sub)
-        if len(sub) == 1:
-            base = "1"
-        elif rotations_only:
-            base = f"C_{len(sub)}"
-        else:
-            base = f"D_{len(sub) // 2}"
-        label = base
-        k = counters.get(base, 0)
-        if k:
-            label = base + "'" * k
-        counters[base] = k + 1
-        gens = _find_generators(g, sub)
-        out.append(
-            SubgroupClass(
-                label=label,
-                representative=tuple(sorted(sub)),
-                generators=tuple(gens),
-                conjugate_count=len(orbit),
-            )
-        )
+        k = g.n // d
+        rotations = [GroupElement(j * k, 0) for j in range(d)]
+        rotation = tuple(rotations[1:2])  # r^k, none at d = 1
+        out.append(SubgroupClass("1" if d == 1 else f"C_{d}", tuple(rotations), rotation, 1))
+        if g.is_dihedral:
+            for i in range(2 - k % 2):
+                reflections = [GroupElement(j * k + i, 1) for j in range(d)]
+                out.append(
+                    SubgroupClass(
+                        f"D_{d}" + "'" * i,
+                        tuple(sorted(rotations + reflections)),
+                        (*rotation, reflections[0]),
+                        k if k % 2 else k // 2,
+                    )
+                )
     out.sort(key=lambda c: (c.order, c.label))
-    return out
-
-
-def _find_generators(g: GroupSpec, sub: frozenset) -> list[GroupElement]:
-    for a in sorted(sub):
-        if _closure(g, [a]) == sub:
-            return [a]
-    for a in sorted(sub):
-        for b in sorted(sub):
-            if _closure(g, [a, b]) == sub:
-                return [a, b]
-    return sorted(sub)  # abelian fallback; never hit for C_n, D_n
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -300,25 +300,15 @@ def dual(m: GLattice) -> GLattice:
 
 
 def presentation_generators(s: SubgroupClass) -> tuple:
-    """Generators (s, t) of the subgroup with s^d = t^2 = (ts)^2 = 1.
-
-    s is the rotation of smallest angle and t the reflection of smallest
-    angle.  A cyclic subgroup gives (s, None), where s is its lone reflection
-    at order 2 and the identity at order 1.
-    """
-    rotations = [a for a in s.representative if a.flip == 0 and not a.is_identity]
-    reflections = [a for a in s.representative if a.flip == 1]
-    if not rotations:
-        return (reflections[0] if reflections else GroupElement(0, 0)), None
-    gen = min(rotations, key=lambda a: a.rot)
-    if not reflections:
-        return gen, None
-    return gen, min(reflections, key=lambda a: a.rot)
+    """(s, t) from `s.generators`: (s, None) when S is cyclic, with s the
+    identity for the trivial subgroup."""
+    gens = s.generators or (GroupElement(0, 0),)
+    return gens[0], (gens[1] if len(gens) == 2 else None)
 
 
 def is_cyclic(s: SubgroupClass) -> bool:
-    """True when `presentation_generators` gives S a single generator."""
-    return presentation_generators(s)[1] is None
+    """True when S has a single presentation generator."""
+    return len(s.generators) < 2
 
 
 def restrict(m: GLattice, s: SubgroupClass) -> GLattice:
@@ -334,12 +324,11 @@ def restrict(m: GLattice, s: SubgroupClass) -> GLattice:
 
 def fixed_sublattice(m: GLattice, s: SubgroupClass) -> IntMatrix:
     """Saturated row basis of the common fixed space of the subgroup."""
-    gens = [a for a in s.generators if not a.is_identity]
-    if not gens:
-        return IntMatrix.identity(m.rank)
     ident = IntMatrix.identity(m.rank)
+    if not s.generators:
+        return ident
     stacked = None
-    for a in gens:
+    for a in s.generators:
         block = m.rho(a) - ident
         stacked = block if stacked is None else stacked.vstack(block)
     return right_kernel_basis(stacked)

@@ -164,17 +164,14 @@ def test_h1_cyclic_equals_generic():
         hom = hom_lattice(top, bottom)
         cases += [(hom, s) for s in subgroup_classes(hom.group)]
     g = dihedral(9)
-    lat = direct_sum(induce(g, -1), sign_lattice(g))
-    conjugates = {
-        tuple(conjugate_subgroup(g, s, x)) for s in subgroup_classes(g) for x in elements(g)
-    }
-    cases += [(lat, subgroup_from_elements(g, members)) for members in sorted(conjugates)]
+    cases += _every_subgroup(direct_sum(induce(g, -1), sign_lattice(g)))
+    cases += _even_dihedral_cases()
     # honestly cyclic groups
     for p in (3, 5, 7):
         g = dihedral(p)
         lat = restrict(direct_sum(n_plus(p), trivial_lattice(g)), class_by_label(g, f"C_{p}"))
         cases += [(lat, s) for s in subgroup_classes(cyclic(p))]
-    assert len(cases) == 214  # 120 census, 32 sums, 40 Hom, 16 subgroups of D_9, 6 cyclic
+    assert len(cases) == 240  # 120 census, 32 sums, 40 Hom, 16 of D_9, 26 of D_4 and D_6, 6 cyclic
     for lat, s in cases:
         assert h1(lat, s) == pairwise_h1(lat, s), (lat, s.label)
 
@@ -190,24 +187,42 @@ def _hminus1_all_elements(m, s):
     return _invariants_of_submodule(right_kernel_basis(norm), gens)
 
 
+def _every_subgroup(lat):
+    """(lat, S) for every subgroup S of lat's group, each conjugate wrapped
+    on its own with the generators read off its elements."""
+    g = lat.group
+    subgroups = {
+        tuple(conjugate_subgroup(g, s, x)) for s in subgroup_classes(g) for x in elements(g)
+    }
+    return [(lat, subgroup_from_elements(g, members)) for members in sorted(subgroups)]
+
+
+def _even_dihedral_cases():
+    """Every subgroup of D_4 (10) and of D_6 (16) on Z[G] + sign + Z[G/D_1]:
+    the groups where a subgroup class splits in two, D_d and D_d'."""
+    cases = []
+    for n in (4, 6):
+        g = dihedral(n)
+        lat = direct_sum(regular_lattice(g), sign_lattice(g), perm_lattice(g, class_by_label(g, "D_1")))
+        cases += _every_subgroup(lat)
+    return cases
+
+
 def _tate_cases():
-    """Census classes at p = 3, 5, 7, every subgroup of D_9 on one sum, and
-    seeded Hom lattices."""
+    """Census classes at p = 3, 5, 7, every subgroup of D_9, D_4 and D_6 on
+    one sum each, and seeded Hom lattices."""
     cases = []
     for p in (3, 5, 7):
         for name in LEE_NAMES:
             lat = build(name, p)
             cases += [(lat, s) for s in subgroup_classes(lat.group)]
     g = dihedral(9)
-    lat = direct_sum(induce(g, -1), sign_lattice(g), n_plus(9))
-    subgroups = {
-        tuple(conjugate_subgroup(g, s, x)) for s in subgroup_classes(g) for x in elements(g)
-    }
-    cases += [(lat, subgroup_from_elements(g, members)) for members in sorted(subgroups)]
+    cases += _every_subgroup(direct_sum(induce(g, -1), sign_lattice(g), n_plus(9)))
+    cases += _even_dihedral_cases()
     for top, bottom in _seeded_hom_pairs(10):
         hom = hom_lattice(top, bottom)
         cases += [(hom, s) for s in subgroup_classes(hom.group)]
-    assert len(cases) == 176  # 120 census, 16 subgroups of D_9, 40 Hom
+    assert len(cases) == 202  # 120 census, 16 subgroups of D_9, 26 of D_4 and D_6, 40 Hom
     return cases
 
 
@@ -230,7 +245,7 @@ def test_h0_and_fixed_ranks_equal_the_kernel_quotient():
         for name in LEE_NAMES:
             lat = restrict(build(name, p), csig)
             cases += [(lat, s) for s in subgroup_classes(lat.group)]
-    assert len(cases) == 236  # 176 and 60 over C_p
+    assert len(cases) == 262  # 202 and 60 over C_p
     nontrivial = 0
     for lat, s in cases:
         got = tate_h0(lat, s)
@@ -336,11 +351,7 @@ def test_one_cocycles_span_the_fox_kernel():
         hom = hom_lattice(top, bottom)
         cases += [(hom, s) for s in subgroup_classes(hom.group)]
     g = dihedral(9)
-    lat = direct_sum(induce(g, -1), sign_lattice(g), n_plus(9))
-    subgroups = {
-        tuple(conjugate_subgroup(g, s, x)) for s in subgroup_classes(g) for x in elements(g)
-    }
-    cases += [(lat, subgroup_from_elements(g, members)) for members in sorted(subgroups)]
+    cases += _every_subgroup(direct_sum(induce(g, -1), sign_lattice(g), n_plus(9)))
     assert len(cases) == 236  # 120 census, 60 over C_p, 40 Hom, 16 subgroups of D_9
     for lat, s in cases:
         space = one_cocycles(lat, s)
@@ -421,7 +432,7 @@ def test_cocycles_build_no_kernel_and_no_hermite_transform(monkeypatch):
 
 
 def test_cohomology_is_conjugation_invariant():
-    for n in (3, 9):
+    for n in (3, 4, 6, 9):
         g = dihedral(n)
         lat = direct_sum(induce(g, -1), sign_lattice(g))
         for s in subgroup_classes(g):

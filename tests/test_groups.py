@@ -2,18 +2,18 @@
 
 import pytest
 
-from glattice.groups import (
-    GroupElement,
+from glattice.groups import GroupElement, cyclic, dihedral, elements, mul, subgroup_classes
+from subgroup_oracle import (
+    IDENTITY,
     all_subgroups,
+    closure,
     conjugate,
-    cyclic,
-    dihedral,
-    elements,
+    conjugate_subgroup,
     inv,
-    mul,
-    subgroup_classes,
+    subgroup_classes_exhaustive,
 )
-from subgroup_oracle import conjugate_subgroup
+
+UP_TO_30 = [cyclic(n) for n in range(1, 31)] + [dihedral(n) for n in range(1, 31)]
 
 
 def test_element_counts():
@@ -21,7 +21,7 @@ def test_element_counts():
     assert len(elements(cyclic(7))) == 7
     d3 = elements(dihedral(3))
     assert d3 == [GroupElement(i, e) for e in (0, 1) for i in range(3)]
-    assert d3[0].is_identity
+    assert d3[0] == IDENTITY
 
 
 def test_defining_relations():
@@ -31,8 +31,8 @@ def test_defining_relations():
     x = s
     for _ in range(6):
         x = mul(g, x, s)
-    assert x.is_identity  # sigma^n = 1
-    assert mul(g, t, t).is_identity  # tau^2 = 1
+    assert x == IDENTITY  # sigma^n = 1
+    assert mul(g, t, t) == IDENTITY  # tau^2 = 1
     # tau sigma tau = sigma^{-1}
     assert conjugate(g, t, s) == inv(g, s)
 
@@ -42,7 +42,7 @@ def test_group_axioms_bruteforce(g):
     els = elements(g)
     e = els[0]
     for a in els:
-        assert mul(g, a, inv(g, a)).is_identity
+        assert mul(g, a, inv(g, a)) == IDENTITY
         assert mul(g, e, a) == a and mul(g, a, e) == a
     if g.order <= 14:
         for a in els:
@@ -118,18 +118,33 @@ def test_classes_even_dihedral():
     assert len(order2_reflection_classes) == 2
 
 
+@pytest.mark.parametrize("g", UP_TO_30, ids=str)
+def test_closed_form_equals_the_exhaustive_oracle(g):
+    """Label, representative, presentation and conjugate count, in order."""
+    assert list(subgroup_classes(g)) == subgroup_classes_exhaustive(g)
+
+
+def _order(g, a):
+    x, k = a, 1
+    while x != IDENTITY:
+        x, k = mul(g, x, a), k + 1
+    return k
+
+
 def test_generators_regenerate_representative():
-    for g in (cyclic(12), dihedral(9)):
+    """On every C_n and D_n with n <= 30, the generators span the
+    representative and satisfy the relations the cohomology reads: s of
+    order |S| alone, or s of order |S|/2 with t^2 = (ts)^2 = 1."""
+    for g in UP_TO_30:
         for c in subgroup_classes(g):
-            seen = {GroupElement(0, 0)}
-            frontier = list(seen)
-            while frontier:
-                new = []
-                for a in frontier:
-                    for b in c.generators:
-                        x = mul(g, a, b)
-                        if x not in seen:
-                            seen.add(x)
-                            new.append(x)
-                frontier = new
-            assert seen == set(c.representative)
+            assert closure(g, c.generators) == set(c.representative), (g, c)
+            if len(c.generators) == 2:
+                s, t = c.generators
+                assert s.flip == 0 and t.flip == 1
+                assert _order(g, s) == c.order // 2
+                assert mul(g, t, t) == IDENTITY
+                assert mul(g, mul(g, t, s), mul(g, t, s)) == IDENTITY
+            elif c.generators:
+                assert _order(g, c.generators[0]) == c.order
+            else:
+                assert c.order == 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from glattice.exactla import IntMatrix, inverse_unimodular, is_saturated, row_space_hnf
+from glattice.exactla import IntMatrix, inverse_unimodular, is_saturated, right_kernel_basis, row_space_hnf
 from glattice.catalog import LEE_NAMES, _nonsplit_extension, build, lee_census
 from glattice.groups import (
     class_by_label,
@@ -172,6 +172,22 @@ def test_fixed_sublattice_examples():
     reg = regular_lattice(g)
     assert fixed_sublattice(reg, full_class(g)).rows == 1
     assert fixed_sublattice(reg, trivial_class(g)) == IntMatrix.identity(6)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 12])
+def test_fixed_sublattice_on_even_dihedral_reads_every_element(n):
+    """On the two generators the fixed sublattice is the saturated kernel of
+    rho(a) - 1 stacked over every element a of the representative."""
+    g = dihedral(n)
+    hom = hom_lattice(perm_lattice(g, class_by_label(g, "D_1")), sign_lattice(g))
+    for m in (regular_lattice(g), hom):
+        ident = IntMatrix.identity(m.rank)
+        for c in subgroup_classes(g):
+            stacked = IntMatrix.from_rows(
+                [row for a in c.representative for row in (m.rho(a) - ident).data], cols=m.rank
+            )
+            want = row_space_hnf(right_kernel_basis(stacked))
+            assert row_space_hnf(fixed_sublattice(m, c)) == want, (n, c.label)
 
 
 def test_factored_norm_equals_the_sum_over_the_subgroup():
