@@ -2,11 +2,16 @@
 
 Exit codes: pass/affirmative 0, failure 1, unknown/inconclusive 2, usage
 errors 3; `classify` maps its four statuses to 0..3 in declaration order.
+
+There is one argument parser per process, built by the first `main` call
+and reused by every later one; `parse_args` fills a fresh namespace each
+time, so no option value carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -214,7 +219,8 @@ def cmd_steinitz(args) -> int:
     return 0 if rep.known_trivial else 2
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
     parser = _Parser(prog="lat", description="dihedral/cyclic lattice toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -270,7 +276,11 @@ def main(argv=None) -> int:
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_steinitz)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

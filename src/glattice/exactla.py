@@ -7,6 +7,8 @@ floating point anywhere in this module.  Matrices are immutable
 taken as given, never converted: every result here is built by int
 arithmetic, and untrusted input (lattice, ideal and table files) is
 checked to hold JSON integers in `serialize` before it becomes a matrix.
+Products (`*`, `power`, `vecmat`, `matvec`) read each right-hand row's
+nonzero entries, which a matrix lists once, on first use, and keeps.
 
 One Smith sweep (`_smith`) and one Hermite sweep (`_hermite`) do every
 elimination, and each routine keeps only the transforms its callers read:
@@ -33,6 +35,7 @@ n x n matrix: circulant determinants (g = x^n - 1) and field norms
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -42,9 +45,11 @@ class IntMatrix:
 
     Entries must be Python ints; the constructor checks the shape but
     neither converts nor type-checks them (`serialize` checks input files).
+    Products read each right-hand row's nonzero entries, as (column, value)
+    pairs cached on first use; the cache is invisible to `==` and `hash`.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_nonzero")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
         rows = tuple(map(tuple, data))
@@ -131,22 +136,30 @@ class IntMatrix:
     def __rmul__(self, k: int) -> "IntMatrix":
         return self * k
 
+    def _nonzero_rows(self) -> tuple:
+        """Per row, the (column, value) pairs of its nonzero entries, listed
+        on first use and kept: the matrix never changes."""
+        try:
+            return self._nonzero
+        except AttributeError:
+            self._nonzero = tuple(tuple(compress(enumerate(r), r)) for r in self.data)
+            return self._nonzero
+
     def matvec(self, v: Sequence[int]) -> tuple:
         """self acting on a column vector."""
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        return tuple(sum([a * v[j] for j, a in enumerate(r) if a]) for r in self.data)
+        return tuple(sum([a * v[j] for j, a in r]) for r in self._nonzero_rows())
 
     def vecmat(self, v: Sequence[int]) -> tuple:
         """Row vector times self: the sum of x * row i over the nonzero v[i] = x."""
         if len(v) != self.rows:
             raise ValueError("length mismatch")
         out = [0] * self.cols
-        for x, r in zip(v, self.data):
+        for x, r in zip(v, self._nonzero_rows()):
             if x:
-                for j, a in enumerate(r):
-                    if a:
-                        out[j] += x * a
+                for j, a in r:
+                    out[j] += x * a
         return tuple(out)
 
     def power(self, k: int) -> "IntMatrix":
@@ -154,15 +167,15 @@ class IntMatrix:
             raise ValueError("power of non-square matrix")
         if k < 0:
             return inverse_unimodular(self).power(-k)
-        result = IntMatrix.identity(self.rows)
+        result = None  # the product of the factors of the set bits read so far
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return IntMatrix.identity(self.rows) if result is None else result
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:

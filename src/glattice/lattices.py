@@ -86,7 +86,7 @@ class GLattice:
 
     def _check_relations(self):
         n = self.group.n
-        ident = IntMatrix.identity(self.rank)
+        ident = self._pow_cache[0]
         if self.sigma.power(n) != ident:
             raise RelationError(f"sigma^{n} != identity")
         for tau in self.gens[1:]:

@@ -1,12 +1,16 @@
 """CLI surface: exit codes, JSON round-trips, determinism."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from glattice.cli import main
-from glattice import serialize
+from glattice import __version__, cli, serialize
 from glattice.catalog import build
 from glattice.groups import cyclic, dihedral
 from glattice.exactla import IntMatrix
@@ -66,6 +70,58 @@ def test_verify_l36_prints_every_determinant(capsys):
     assert capsys.readouterr().out == "".join(
         f"L36 n={n}: pass (det1={(n - 1) // 2} det2=-1)\n" for n in range(3, 102, 2)
     )
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """The parser is built on the first `main` call of a process and reused:
+    usage errors still exit 3, `--version` exits 0, and no option value
+    leaks into the next call.  Each sub-command has its own `_Parser`, so
+    one build runs `_Parser.__init__` once per parser, the top level once."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--id", "L36", "--n", "x"])
+    assert err.value.code == 3
+    with pytest.raises(SystemExit) as err:
+        run(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+    assert run(["verify", "--id", "L36", "--n", 5]) == 0
+    assert capsys.readouterr().out.count("\n") == 1
+    assert run(["verify", "--id", "L36", "--n-min", 3, "--n-max", 7]) == 0
+    assert capsys.readouterr().out.count("\n") == 3
+    lat_path = tmp_path / "x3.json"
+    lat_path.write_text(json.dumps(serialize.lattice_to_json(build("X", 3))))
+    assert run(["classify", "--in", lat_path, "--budget-draws", 200]) == 0
+    assert built.count("lat") == 1 and len(built) == len(set(built)) > 1
+    cli._parser.cache_clear()
+
+
+def test_lat_entry_point_runs_as_a_module():
+    """`python -m glattice.cli`, the `__main__` path the in-process tests skip."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def lat(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "glattice.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    ok = lat("verify", "--id", "L36", "--n", "3")
+    assert ok.returncode == 0 and ok.stdout == "L36 n=3: pass (det1=1 det2=-1)\n"
+    bad = lat("verify", "--id", "T34", "--n", "4")
+    assert bad.returncode == 3 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ")
+    version = lat("--version")
+    assert version.returncode == 0 and version.stdout.strip() == __version__
 
 
 def test_table_command(tmp_path, capsys):

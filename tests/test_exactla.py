@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dense_oracle import dense_matvec, dense_mul, dense_power, dense_vecmat
 from glattice.catalog import circulant, circulant_pattern_one, circulant_pattern_two
@@ -391,16 +391,35 @@ def _product_case(draw):
     return a, b, draw(_ENTRY), *vectors, draw(st.integers(0, 5))
 
 
+def _cold_then_warm(op, *operands):
+    """op on fresh copies of the operands, twice: first before any of them
+    has listed its nonzero entries, then with those lists cached.  Returns
+    both results; `==` and `hash` must not see the cache."""
+    copies = [IntMatrix(m.data, cols=m.cols) for m in operands]
+    hashes = [hash(m) for m in copies]
+    results = op(*copies), op(*copies)
+    assert [hash(m) for m in copies] == hashes
+    assert all(m == o and o == m for m, o in zip(copies, operands))
+    return results
+
+
 @settings(max_examples=400, deadline=None)
 @given(_product_case())
+@example((IntMatrix([], cols=3), IntMatrix([[1, -2], [0, 0], [-1, 0]]), -2, [0, -1, 5], [], 0))
+@example((IntMatrix([[], []]), IntMatrix([], cols=3), 2, [], [-1, 4], 0))
+@example((IntMatrix([[0], [-4]]), IntMatrix([[-3]]), 0, [7], [-1, 2], 0))
+@example((IntMatrix([[0, -1], [1, 0]]), IntMatrix([[-1, 0], [0, 0]]), 3, [2, -5], [-2, 1], 5))
 def test_products_match_the_dense_oracle(case):
+    """Every product matches the oracle with the operands' nonzero rows cold
+    and warm, `a * a` (one object on both sides) included."""
     a, b, k, v, w, e = case
-    assert a * b == dense_mul(a, b)
+    assert _cold_then_warm(lambda x, y: x * y, a, b) == (dense_mul(a, b),) * 2
     assert a * k == k * a == dense_mul(a, k)
-    assert a.matvec(v) == dense_matvec(a, v)
-    assert a.vecmat(w) == dense_vecmat(a, w)
+    assert _cold_then_warm(lambda x: x.matvec(v), a) == (dense_matvec(a, v),) * 2
+    assert _cold_then_warm(lambda x: x.vecmat(w), a) == (dense_vecmat(a, w),) * 2
     if a.is_square:
-        assert a.power(e) == dense_power(a, e)
+        assert _cold_then_warm(lambda x: x * x, a) == (dense_mul(a, a),) * 2
+        assert _cold_then_warm(lambda x: x.power(e), a) == (dense_power(a, e),) * 2
 
 
 @settings(max_examples=100, deadline=None)
