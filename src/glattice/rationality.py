@@ -1,11 +1,12 @@
 """Flabby resolutions, isomorphism search, and rationality verdicts.
 
 The verdict engine mirrors the decision structure for D_p and C_p tori:
-take a witness for the lattice that needs no search (a permutation
-lattice's orbit map or a catalog identity), else build a minimal flabby
-resolution and try to certify its flabby part stably permutation by an
-explicit unimodular intertwiner, and otherwise fall back to class-number
-facts from the table, or to the Steinitz obstruction over C_p.
+take a witness for the lattice, or for each of its literal direct summands,
+that needs no search (a permutation lattice's orbit map or a catalog
+identity), else build a minimal flabby resolution and try to certify its
+flabby part stably permutation by an explicit unimodular intertwiner, and
+otherwise fall back to class-number facts from the table, or to the
+Steinitz obstruction over C_p.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 CLASSIFY_RANK_CAP = 6  # explicit search cap on the rank searched inside classify
 PERM_PART_CACHE_SIZE = 64  # (group, class) pairs whose Z[G/S] `_perm_part` keeps
+BLOCK_CACHE_SIZE = 256  # (lattice, budget) pairs whose explicit route `_block_route` keeps
 FINGERPRINT_CACHE_SIZE = 1024  # lattices whose fingerprint `fingerprint` keeps, least recent out first
 
 
@@ -601,15 +603,25 @@ def classify(
 ) -> Verdict:
     """Rationality status of the torus with character lattice m.
 
-    The steps run in order: a witness for M that needs no search (the
-    orbit map of a literal permutation lattice, or a T34/T35 catalog
-    identity); an explicit stably-permutation witness for the flabby part E
-    of 0 -> M -> Q -> E -> 0 (searched at `budget` up to
-    `CLASSIFY_RANK_CAP`, above it only one that needs no search); then
+    M is first split into its literal blocks (`literal_blocks`).  When it
+    has more than one, each block takes the explicit route below, memoised
+    for at most `BLOCK_CACHE_SIZE` (lattice, budget) pairs; if every block
+    gets a witness, the direct sum of their sequences, with M's basis put
+    in block order, is M's sequence, checked afresh on every call.  A
+    one-block M, or one with a block that gets no witness, takes the route
+    whole.
+
+    The explicit route: a witness for M that needs no search (the orbit
+    map of a literal permutation lattice, or a T34/T35 catalog identity);
+    else an explicit stably-permutation witness for the flabby part E of
+    0 -> M -> Q -> E -> 0 (searched at `budget` up to `CLASSIFY_RANK_CAP`,
+    above it only one that needs no search).  Without a witness come
     theorems, per group: the class number h_p^+ of the table over D_p, and
-    over C_p an asserted non-principal ideal, the Steinitz class and h_p.
-    Every explicit verdict is a sequence 0 -> M -> X -> Y -> 0 with X and Y
-    permutation, checked by `_sequence_verdict`.
+    over C_p an asserted non-principal ideal, the Steinitz class and h_p;
+    after a failed block split their evidence names the first block without
+    a witness and why its search failed.  Every explicit verdict is a
+    sequence 0 -> M -> X -> Y -> 0 with X and Y permutation, checked by
+    `_sequence_verdict`; no theorem verdicts of blocks are combined.
 
     E alone is searched: C_p and D_p have cyclic Sylow subgroups, so a
     flabby M is invertible, hence coflabby (Endo-Miyata;
@@ -622,6 +634,85 @@ def classify(
         raise LatticeError("dihedral classification needs D_p, p an odd prime")
     if not g.is_dihedral and not is_prime(g.n):
         raise LatticeError("cyclic classification needs prime order")
+    blocks = literal_blocks(m)
+    split_failure = {}
+    if len(blocks) > 1:
+        ranks = [len(b) for b in blocks]
+        routes = []
+        for i, b in enumerate(blocks):
+            route = _block_route(GLattice(g, *(x.submatrix(b, b) for x in m.gens), validate=False), budget)
+            if route.sequence is None:
+                split_failure = {"block_ranks": ranks, "failed_block": i, "search": route.detail}
+                break
+            routes.append(route)
+        else:
+            return _sequence_verdict(
+                *_block_sum(m, blocks, routes),
+                [lab for r in routes for lab in r.padding],
+                [lab for r in routes for lab in r.target],
+                "explicit witness for every literal direct summand",
+                block_ranks=ranks,
+            )
+        route = _route(m, budget)
+    else:
+        route = _block_route(m, budget)
+    if route.sequence is not None:
+        if route.summands is None:
+            reason, evidence = "character lattice is stably permutation by explicit witness", {}
+        else:
+            reason = "explicit stably-permutation witness for the flabby part"
+            evidence = {"resolution_summands": list(route.summands)}
+        return _sequence_verdict(*route.sequence, route.padding, route.target, reason, **evidence)
+    if g.is_dihedral:
+        verdict = _dihedral_theorem(g.n, route.summands, table)
+    else:
+        verdict = _cyclic_theorem(m, table, annotations or {})
+    verdict.evidence.update(split_failure)
+    return verdict
+
+
+def literal_blocks(m: GLattice) -> list[list[int]]:
+    """M's basis indices split into the connected components of the nonzero
+    pattern of its generators, each increasing, ordered by least index.
+
+    No generator has an entry between two components, so M is the direct
+    sum of the components' spans, and listing the basis block by block is a
+    permutation P with P rho P^T block diagonal for every generator rho.
+    """
+    parent = list(range(m.rank))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x in m.gens:
+        for i, row in enumerate(x.data):
+            for j, a in enumerate(row):
+                if a:
+                    parent[root(i)] = root(j)
+    blocks: dict[int, list[int]] = {}
+    for k in range(m.rank):
+        blocks.setdefault(root(k), []).append(k)
+    return list(blocks.values())
+
+
+class _Route(NamedTuple):
+    """A lattice L's explicit route: 0 -> L -> X -> Y -> 0 with the labels of
+    its witness, or the reason the search failed.  It keeps no witness or
+    resolution, so a cached route holds only what a verdict reads."""
+
+    sequence: tuple | None  # (inclusion L -> X, projection X -> Y), None without a witness
+    padding: tuple  # the witness's P1 and P2 coset types
+    target: tuple
+    summands: tuple | None  # L's resolution cover, None when L's own witness needed no search
+    detail: str = ""
+
+
+def _route(m: GLattice, budget: Budget) -> _Route:
+    """M's no-search witness, else a witness for its flabby part E: the
+    search at `budget` up to `CLASSIFY_RANK_CAP`, above it one that needs none."""
     if spw := _exact_witness(m):
         # 0 -> M -> P2 -> P1 -> 0 read off the intertwiner W: M + P1 -> P2;
         # the orbit map of a permutation lattice has P1 = 0
@@ -629,56 +720,61 @@ def classify(
         mat, p2 = w.iso_map.matrix, w.iso_map.target
         inc = mat.submatrix(range(mat.rows), range(m.rank))
         proj = IntMatrix.from_rows(inverse_unimodular(mat).data[m.rank :], cols=mat.rows)
-        return _sequence_verdict(
-            LatticeMap(m, p2, inc),
-            LatticeMap(p2, w.padding, proj),
-            w,
-            "character lattice is stably permutation by explicit witness",
-        )
+        seq = (LatticeMap(m, p2, inc), LatticeMap(p2, w.padding, proj))
+        return _Route(seq, w.padding_labels, w.target_labels, None)
     res = flabby_resolution(m)
     e = res.flabby_part
     spw = stably_permutation(e, budget) if e.rank <= CLASSIFY_RANK_CAP else _exact_witness(e)
-    if spw:
-        # 0 -> M -> Q + P1 -> P2 -> 0 through Q + P1 -> E + P1 -> P2
-        w = spw.witness
-        pad, p2 = w.padding.rank, w.iso_map.target
-        total = direct_sum(res.perm, w.padding)
-        inc = res.seq.inclusion.matrix.vstack(IntMatrix.zero(pad, m.rank))
-        proj = w.iso_map.matrix * block_diag(res.seq.projection.matrix, IntMatrix.identity(pad))
-        return _sequence_verdict(
-            LatticeMap(m, total, inc),
-            LatticeMap(total, p2, proj),
-            w,
-            "explicit stably-permutation witness for the flabby part",
-            resolution_summands=list(res.summands),
-        )
-    if g.is_dihedral:
-        return _dihedral_theorem(res, table)
-    return _cyclic_theorem(m, table, annotations or {})
+    if not spw:
+        detail = f"flabby part of rank {e.rank} (search cap {CLASSIFY_RANK_CAP}): {spw.detail}"
+        return _Route(None, (), (), res.summands, detail)
+    # 0 -> M -> Q + P1 -> P2 -> 0 through Q + P1 -> E + P1 -> P2
+    w = spw.witness
+    pad, p2 = w.padding.rank, w.iso_map.target
+    total = direct_sum(res.perm, w.padding)
+    inc = res.seq.inclusion.matrix.vstack(IntMatrix.zero(pad, m.rank))
+    proj = w.iso_map.matrix * block_diag(res.seq.projection.matrix, IntMatrix.identity(pad))
+    seq = (LatticeMap(m, total, inc), LatticeMap(total, p2, proj))
+    return _Route(seq, w.padding_labels, w.target_labels, res.summands)
+
+
+# the route of a literal block, shared by every input that contains the block
+_block_route = lru_cache(maxsize=BLOCK_CACHE_SIZE)(_route)
+
+
+def _block_sum(m: GLattice, blocks: list[list[int]], routes: list[_Route]) -> tuple[LatticeMap, LatticeMap]:
+    """0 -> M -> X_1 + ... + X_k -> Y_1 + ... + Y_k -> 0 from the blocks'
+    sequences: the inclusion is block_diag(inc_i) * P, with P listing M's
+    basis block by block, and the projection block_diag(proj_i)."""
+    order = [k for b in blocks for k in b]
+    perm = IntMatrix([[int(j == k) for j in range(m.rank)] for k in order], cols=m.rank)
+    incs, projs = zip(*(r.sequence for r in routes))
+    x = direct_sum(*(f.target for f in incs))
+    y = direct_sum(*(f.target for f in projs))
+    inclusion = block_diag(*(f.matrix for f in incs)) * perm
+    return LatticeMap(m, x, inclusion), LatticeMap(x, y, block_diag(*(f.matrix for f in projs)))
 
 
 def _sequence_verdict(
-    inclusion: LatticeMap, projection: LatticeMap, w: StablyPermutationWitness, reason: str, **evidence
+    inclusion: LatticeMap, projection: LatticeMap, padding, target, reason: str, **evidence
 ) -> Verdict:
-    """StablyRational from 0 -> M -> X -> Y -> 0, X and Y permutation, once the sequence checks."""
+    """StablyRational from 0 -> M -> X -> Y -> 0, X and Y permutation, once
+    the sequence checks; `padding` and `target` label the witness's P1 and P2."""
     ext = ExtensionSpec(inclusion.source, inclusion.target, projection.target, inclusion, projection)
     ext.check()
-    evidence.update(
-        padding=list(w.padding_labels), target=list(w.target_labels), sequence_total_rank=ext.total.rank
-    )
+    evidence.update(padding=list(padding), target=list(target), sequence_total_rank=ext.total.rank)
     return Verdict(status="StablyRational", by_theorem=False, reason=reason, evidence=evidence)
 
 
-def _dihedral_theorem(res: FlabbyResolution, table: ClassTable) -> Verdict:
+def _dihedral_theorem(p: int, summands: tuple, table: ClassTable) -> Verdict:
     """Over D_p: h_p^+ = 1 makes every flabby class stably permutation."""
-    p = res.lattice.group.n
     h_plus = table.h_plus(p)
     if h_plus == 1:
         return Verdict(
             status="StablyRational",
             by_theorem=True,
             reason=f"flabby part verified flabby; h_{p}^+ = 1 makes every flabby class stably permutation",
-            evidence={"resolution_summands": list(res.summands), "h_plus": 1},
+            evidence={"resolution_summands": list(summands), "h_plus": 1},
         )
     return Verdict(
         status="RetractRationalOnly",

@@ -16,6 +16,7 @@ from glattice.groups import cyclic, dihedral
 from glattice.exactla import IntMatrix
 from glattice.lattices import direct_sum, sign_lattice
 from glattice.cyclotomic import ideal_cyclic_lattice, unit_ideal
+from pool_verdicts import pool_lattice
 from steinitz_oracle import factor_cyclotomic_mod, prime_ideal_above
 
 
@@ -417,9 +418,15 @@ def test_custom_class_table_flag(tmp_path):
     # a table claiming h_5^+ unknown: X@5 has an explicit witness all the same
     table_path.write_text(json.dumps([{"p": 5, "h": None, "h_plus": 2, "source": "test"}]))
     assert run(["classify", "--in", lat_path, "--table", table_path, "--budget-draws", 200]) == 0
-    # Y1 + X@5 is searched nowhere (input and flabby part of rank 11, above the
-    # cap), so the table decides and forces the retract floor
+    # Y1 + X@5 is above the cap whole, but its literal blocks Y1 and X each
+    # have an explicit witness, so the table is not read
     sum_path = tmp_path / "y1x5.json"
     sum_path.write_text(json.dumps(serialize.lattice_to_json(direct_sum(build("Y1", 5), build("X", 5)))))
-    code = run(["classify", "--in", sum_path, "--table", table_path, "--budget-draws", 200])
+    assert run(["classify", "--in", sum_path, "--table", table_path, "--budget-draws", 200]) == 0
+    # the pool's ext:R<Y1@5 is one block searched nowhere (M of rank 10, its
+    # flabby part of rank 12, above the cap), so the table decides and forces
+    # the retract floor
+    ext_path = tmp_path / "r_y1_5.json"
+    ext_path.write_text(json.dumps(serialize.lattice_to_json(pool_lattice("ext:R<Y1@5"))))
+    code = run(["classify", "--in", ext_path, "--table", table_path, "--budget-draws", 200])
     assert code == 1  # RetractRationalOnly

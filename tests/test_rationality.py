@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glattice.exactla import IntMatrix, det, inverse_unimodular, right_kernel_basis, row_space_hnf
+from glattice.exactla import IntMatrix, block_diag, det, inverse_unimodular, right_kernel_basis, row_space_hnf
 from glattice.groups import class_by_label, cyclic, dihedral, subgroup_classes
 from glattice.lattices import (
     GLattice,
@@ -25,24 +25,29 @@ from glattice.catalog import LEE_NAMES, build
 from glattice.cohomology import cohomology_table, is_flabby
 from glattice import cohomology, rationality
 from glattice.rationality import (
+    BLOCK_CACHE_SIZE,
     CLASSIFY_RANK_CAP,
     PERM_PART_CACHE_SIZE,
     Budget,
+    _block_route,
     _box_by_l1,
     _candidate_maker,
     _perm_part,
+    _route,
     _verify_iso,
     classify,
     fingerprint,
     flabby_resolution,
     hom_space_basis,
     iso,
+    literal_blocks,
     perm_from_decomposition,
     permutation_decomposition,
     stably_permutation,
 )
 from cover_oracle import oracle_flabby_rank
 from iso_oracle import combine, iso_oracle
+from pool_verdicts import pool_lattice
 
 FAST = Budget(box_radius=2, draws=2000, padding_rank_factor=2, sp_attempts=40)
 
@@ -188,25 +193,160 @@ def test_stably_permutation_reads_a_permutation_lattice_off_its_orbits(monkeypat
 
 
 def test_a_permutation_flabby_part_above_the_cap_needs_no_search(monkeypatch):
-    """Y0 + X over D_5 has a flabby part of rank 10, above the cap, that is a
-    permutation lattice in another basis order."""
+    """Y0 + X over D_5 taken whole has a flabby part of rank 10, above the
+    cap, that is a permutation lattice in another basis order; classify
+    decides the sum by its blocks, also with no search."""
     _refuse_iso(monkeypatch)
     m = direct_sum(build("Y0", 5), build("X", 5))
-    e = flabby_resolution(m).flabby_part
+    res = flabby_resolution(m)
+    e = res.flabby_part
     assert e.rank == 10 > CLASSIFY_RANK_CAP and e.is_permutation
+    route = _route(m, FAST)
+    assert route.summands == res.summands and route.padding == ()
     v = classify(m, budget=FAST)
-    assert v.reason == "explicit stably-permutation witness for the flabby part"
-    assert v.evidence["padding"] == [] and not v.by_theorem
+    assert v.reason == "explicit witness for every literal direct summand"
+    assert v.evidence["block_ranks"] == [6, 5] and not v.by_theorem
 
 
 def test_nothing_above_the_cap_is_searched(monkeypatch):
-    """Y0 + Y1 over D_7: M and E are above the cap and have no exact witness,
-    so the verdict comes from h_7^+ = 1 without a search."""
+    """The pool's ext:R<Y1@5 is one block whose M (rank 10) and E (rank 12)
+    are above the cap and have no exact witness, so the verdict comes from
+    h_5^+ = 1 without a search."""
     _refuse_iso(monkeypatch)
-    res = flabby_resolution(direct_sum(build("Y0", 7), build("Y1", 7)))
-    assert min(res.lattice.rank, res.flabby_part.rank) > CLASSIFY_RANK_CAP
-    v = classify(res.lattice, budget=FAST)
+    m = pool_lattice("ext:R<Y1@5")
+    res = flabby_resolution(m)
+    assert len(literal_blocks(m)) == 1
+    assert (res.lattice.rank, res.flabby_part.rank) == (10, 12) and CLASSIFY_RANK_CAP < 10
+    v = classify(m, budget=FAST)
     assert v.by_theorem and v.status == "StablyRational" and v.evidence["h_plus"] == 1
+    assert "block_ranks" not in v.evidence
+
+
+def test_literal_blocks_decide_y0_plus_y1_at_7_without_search(monkeypatch):
+    """Y0 + Y1 over D_7 is above the cap whole, but its blocks Y0 and Y1
+    take T35 and T34: an explicit verdict and no iso."""
+    _refuse_iso(monkeypatch)
+    m = direct_sum(build("Y0", 7), build("Y1", 7))
+    res = flabby_resolution(m)
+    assert min(res.lattice.rank, res.flabby_part.rank) > CLASSIFY_RANK_CAP
+    v = classify(m, budget=FAST)
+    assert v.status == "StablyRational" and not v.by_theorem
+    assert v.reason == "explicit witness for every literal direct summand"
+    assert v.evidence == {
+        "block_ranks": [8, 8],
+        "padding": ["D_1", "D_7"],
+        "target": ["1", "D_7", "C_7", "D_1"],
+        "sequence_total_rank": 24,
+    }
+
+
+def _one_block_census(g):
+    return [lat for lat in _census_over(g) if len(literal_blocks(lat)) == 1]
+
+
+def _shuffled_sum(parts, rng):
+    """(the direct sum of parts in a seeded random basis order, the
+    shuffled positions of each part's basis)."""
+    total = direct_sum(*parts)
+    order = rng.sample(range(total.rank), total.rank)  # new basis vector k is old order[k]
+    p = IntMatrix([[int(j == k) for j in range(total.rank)] for k in order], cols=total.rank)
+    shuffled = GLattice(total.group, *(p * rho * p.transpose() for rho in total.gens))
+    position = {old: new for new, old in enumerate(order)}
+    starts = list(itertools.accumulate((part.rank for part in parts), initial=0))
+    spans = [sorted(position[k] for k in range(a, b)) for a, b in zip(starts, starts[1:])]
+    return shuffled, spans
+
+
+@pytest.mark.parametrize("g", [dihedral(3), dihedral(5), cyclic(5), cyclic(7)], ids=str)
+def test_literal_blocks_recover_shuffled_summands(g):
+    """Sums of 2-3 one-block census lattices in a seeded random basis order:
+    the blocks are the summands' positions, up to order, and listing the
+    basis block by block makes every generator block diagonal."""
+    rng = random.Random(2026)
+    census = _one_block_census(g)
+    for _ in range(6):
+        shuffled, spans = _shuffled_sum(rng.sample(census, rng.choice([2, 3])), rng)
+        blocks = literal_blocks(shuffled)
+        assert sorted(blocks) == sorted(spans)
+        order = [k for b in blocks for k in b]
+        p = IntMatrix([[int(j == k) for j in range(shuffled.rank)] for k in order], cols=shuffled.rank)
+        for rho in shuffled.gens:
+            assert p * rho * p.transpose() == block_diag(*(rho.submatrix(b, b) for b in blocks))
+
+
+@pytest.mark.parametrize("g", [dihedral(3), dihedral(5), cyclic(5)], ids=str)
+def test_a_shuffled_sum_gets_the_blocks_sequence(g):
+    """A shuffled sum of census lattices whose blocks each get a witness is
+    decided by the checked direct sum of the blocks' sequences, with the
+    blocks' padding and target labels; its blocks are not block-contiguous,
+    so the sequence is exact only through the basis permutation."""
+    rng = random.Random(31)
+    census = _one_block_census(g)
+    decided = 0
+    for _ in range(5):
+        parts = rng.sample(census, 2)
+        shuffled, spans = _shuffled_sum(parts, rng)
+        if [k for span in sorted(spans) for k in span] == list(range(shuffled.rank)):
+            continue  # the shuffle left the blocks in basis order
+        v = classify(shuffled, budget=FAST)
+        assert v.status == "StablyRational", v
+        blocks = [GLattice(g, *(x.submatrix(b, b) for x in shuffled.gens)) for b in literal_blocks(shuffled)]
+        assert sorted(lat.rank for lat in blocks) == sorted(part.rank for part in parts)
+        block_v = [classify(lat, budget=FAST) for lat in blocks]
+        if all(not bv.by_theorem for bv in block_v):
+            assert v.reason == "explicit witness for every literal direct summand"
+            assert v.evidence["block_ranks"] == [lat.rank for lat in blocks]
+            for key in ("padding", "target"):
+                assert v.evidence[key] == [x for bv in block_v for x in bv.evidence[key]]
+            decided += 1
+    assert decided
+
+
+def test_a_theorem_verdict_names_the_block_whose_search_failed():
+    """Z- + R over D_7: the block R has a flabby part above the cap with no
+    exact witness, so the sum is decided whole by h_7^+ and its evidence
+    names that block and the search's reason; no timing is recorded."""
+    v = classify(direct_sum(build("Zminus", 7), build("R", 7)), budget=FAST)
+    assert v.by_theorem and v.status == "StablyRational"
+    assert v.evidence["block_ranks"] == [1, 6] and v.evidence["failed_block"] == 1
+    e = flabby_resolution(build("R", 7)).flabby_part
+    cap = CLASSIFY_RANK_CAP
+    assert v.evidence["search"] == f"flabby part of rank {e.rank} (search cap {cap}): no exact witness"
+    assert not any(isinstance(x, float) for x in v.evidence.values())
+
+
+def test_a_cached_block_still_gets_a_fresh_check(monkeypatch):
+    """The second classify of a sum reads both blocks from the cache and
+    still checks M's summed sequence."""
+    checks = []
+    check = rationality.ExtensionSpec.check
+    monkeypatch.setattr(rationality.ExtensionSpec, "check", lambda ext: checks.append(ext.sub) or check(ext))
+    m = direct_sum(build("X", 5), build("R", 5))
+    first = classify(m, budget=FAST)
+    hits = _block_route.cache_info().hits
+    second = classify(m, budget=FAST)
+    assert first == second and not first.by_theorem
+    assert _block_route.cache_info().hits == hits + 2
+    assert checks[-1] == m and checks.count(m) == 2
+
+
+def test_the_block_cache_is_bounded_and_keeps_recent_hits():
+    """The cache keeps BLOCK_CACHE_SIZE (lattice, budget) pairs, least
+    recently used out first."""
+    lat = trivial_lattice(cyclic(3))
+    budgets = [Budget(seed=k) for k in range(BLOCK_CACHE_SIZE + 3)]
+    assert _block_route.cache_info().maxsize == BLOCK_CACHE_SIZE
+    for b in budgets[:BLOCK_CACHE_SIZE]:
+        _block_route(lat, b)
+    _block_route(lat, budgets[0])  # the hit makes budgets[0] the most recent key
+    for b in budgets[BLOCK_CACHE_SIZE:]:  # three inserts at capacity evict budgets[1], [2], [3]
+        _block_route(lat, b)
+        assert _block_route.cache_info().currsize == BLOCK_CACHE_SIZE
+    hits, misses = _block_route.cache_info()[:2]
+    _block_route(lat, budgets[0])
+    assert _block_route.cache_info()[:2] == (hits + 1, misses)
+    _block_route(lat, budgets[1])
+    assert _block_route.cache_info()[:2] == (hits + 1, misses + 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
