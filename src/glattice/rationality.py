@@ -321,8 +321,12 @@ def permutation_decomposition(m: GLattice) -> tuple[list[str], IntMatrix] | None
         seen.update(orbit)
         orbits.append((label, orbit))
     orbits.sort()
-    rows = [[int(j == k) for j in range(m.rank)] for _, orbit in orbits for k in orbit]
-    return [label for label, _ in orbits], IntMatrix(rows, cols=m.rank)
+    return [label for label, _ in orbits], _permutation_matrix([k for _, orbit in orbits for k in orbit], m.rank)
+
+
+def _permutation_matrix(order: list[int], rank: int) -> IntMatrix:
+    """The matrix whose row i is the basis vector e_{order[i]}."""
+    return IntMatrix([[int(j == k) for j in range(rank)] for k in order], cols=rank)
 
 
 class _PermPart(NamedTuple):
@@ -653,6 +657,7 @@ def classify(
                 "explicit witness for every literal direct summand",
                 block_ranks=ranks,
             )
+        # uncached: a large sum seldom recurs and would push out block entries
         route = _route(m, budget)
     else:
         route = _block_route(m, budget)
@@ -746,8 +751,7 @@ def _block_sum(m: GLattice, blocks: list[list[int]], routes: list[_Route]) -> tu
     """0 -> M -> X_1 + ... + X_k -> Y_1 + ... + Y_k -> 0 from the blocks'
     sequences: the inclusion is block_diag(inc_i) * P, with P listing M's
     basis block by block, and the projection block_diag(proj_i)."""
-    order = [k for b in blocks for k in b]
-    perm = IntMatrix([[int(j == k) for j in range(m.rank)] for k in order], cols=m.rank)
+    perm = _permutation_matrix([k for b in blocks for k in b], m.rank)
     incs, projs = zip(*(r.sequence for r in routes))
     x = direct_sum(*(f.target for f in incs))
     y = direct_sum(*(f.target for f in projs))

@@ -34,6 +34,7 @@ from glattice.rationality import (
     _candidate_maker,
     _perm_part,
     _route,
+    _sequence_verdict,
     _verify_iso,
     classify,
     fingerprint,
@@ -194,15 +195,19 @@ def test_stably_permutation_reads_a_permutation_lattice_off_its_orbits(monkeypat
 
 def test_a_permutation_flabby_part_above_the_cap_needs_no_search(monkeypatch):
     """Y0 + X over D_5 taken whole has a flabby part of rank 10, above the
-    cap, that is a permutation lattice in another basis order; classify
-    decides the sum by its blocks, also with no search."""
+    cap, that is a permutation lattice in another basis order: the whole-M
+    route finds E's orbit map and its sequence checks.  classify decides
+    the sum by its blocks, also with no search."""
     _refuse_iso(monkeypatch)
     m = direct_sum(build("Y0", 5), build("X", 5))
     res = flabby_resolution(m)
     e = res.flabby_part
     assert e.rank == 10 > CLASSIFY_RANK_CAP and e.is_permutation
     route = _route(m, FAST)
-    assert route.summands == res.summands and route.padding == ()
+    assert route.sequence is not None and route.summands == res.summands
+    assert route.padding == () and list(route.target) == permutation_decomposition(e)[0]
+    whole = _sequence_verdict(*route.sequence, route.padding, route.target, "whole")
+    assert whole.evidence["padding"] == [] and not whole.by_theorem
     v = classify(m, budget=FAST)
     assert v.reason == "explicit witness for every literal direct summand"
     assert v.evidence["block_ranks"] == [6, 5] and not v.by_theorem
