@@ -11,7 +11,9 @@ Products (`*`, `power`, `vecmat`, `matvec`) read each right-hand row's
 nonzero entries, which a matrix lists once, on first use, and keeps.
 
 One Smith sweep (`_smith`) and one Hermite sweep (`_hermite`) do every
-elimination, and each routine keeps only the transforms its callers read:
+elimination.  Both skip zero entries, in the pivot order of a dense sweep
+and with the same transforms.  Each routine keeps only the transforms its
+callers read:
 
 - `snf`: the diagonal, u and v.
 - `smith_diagonal`: the diagonal alone, for `cokernel_invariants`,
@@ -68,7 +70,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return IntMatrix(_identity_rows(n), cols=n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -107,10 +109,9 @@ class IntMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        if not self.rows:
+            return IntMatrix([()] * self.cols, cols=0)
+        return IntMatrix(zip(*self.data), cols=self.rows)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-x for x in r] for r in self.data], cols=self.cols)
@@ -124,7 +125,12 @@ class IntMatrix:
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return IntMatrix(
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            cols=self.cols,
+        )
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -307,7 +313,17 @@ class AbelianInvariants:
 
 
 def _identity_rows(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, r in enumerate(rows):
+        r[i] = 1
+    return rows
+
+
+def _nonzero(row: list, start: int = 0) -> tuple:
+    """The (column, value) pairs of row's nonzero entries from `start` on."""
+    if start:
+        row = row[start:]
+    return tuple(compress(enumerate(row, start), row))
 
 
 class _Worker:
@@ -315,7 +331,9 @@ class _Worker:
 
     Only the transforms a caller reads are kept, each None otherwise: u
     records the row operations, v the column operations, and vinv = v^-1,
-    where each column operation on v is the inverse row operation.
+    where each column operation on v is the inverse row operation.  A row
+    operation touches the nonzero entries of the pivot row only, a column
+    operation the rows that are nonzero in the pivot column only.
     """
 
     def __init__(self, m: IntMatrix, u: bool = False, v: bool = False, vinv: bool = False):
@@ -337,21 +355,6 @@ class _Worker:
                     r[i], r[j] = r[j], r[i]
         if self.vinv is not None:
             self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
-
-    def addmul_row(self, dst, src, q):
-        for rows in (self.s, self.u):
-            if rows is not None:
-                rows[dst] = [a + q * b for a, b in zip(rows[dst], rows[src])]
-
-    def addmul_col(self, dst, src, q):
-        for rows in (self.s, self.v):
-            if rows is not None:
-                for r in rows:
-                    r[dst] += q * r[src]
-        if self.vinv is not None:
-            # column dst of v gains q * column src: row src of v^-1 loses q * row dst
-            vinv = self.vinv
-            vinv[src] = [a - q * b for a, b in zip(vinv[src], vinv[dst])]
 
     def negate_row(self, i):
         for rows in (self.s, self.u):
@@ -390,7 +393,9 @@ class _Worker:
         The minimal-absolute-value pivot is re-selected on every pass;
         without that, intermediate entries explode.
         """
-        s = self.s
+        s, vinv = self.s, self.vinv
+        by_row = [x for x in (s, self.u) if x is not None]
+        by_col = [x for x in (s, self.v) if x is not None]
         t = start
         limit = min(self.rows, self.cols)
         while t < limit:
@@ -398,17 +403,36 @@ class _Worker:
                 break
             while True:
                 piv = s[t][t]
+                done = True
+                pivot_row = None  # row t's nonzero entries in s (and u), once some q != 0
                 for i in range(t + 1, self.rows):
                     q = s[i][t] // piv
                     if q:
-                        self.addmul_row(i, t, -q)
+                        if pivot_row is None:
+                            pivot_row = [(x, _nonzero(x[t])) for x in by_row]
+                        for x, entries in pivot_row:
+                            xi = x[i]
+                            for k, b in entries:
+                                xi[k] -= q * b
+                    if s[i][t]:
+                        done = False
+                st = s[t]
+                pivot_col = None  # the rows of s (and v) nonzero in column t, with that entry
                 for j in range(t + 1, self.cols):
-                    q = s[t][j] // piv
+                    q = st[j] // piv
                     if q:
-                        self.addmul_col(j, t, -q)
-                if all(s[i][t] == 0 for i in range(t + 1, self.rows)) and all(
-                    s[t][j] == 0 for j in range(t + 1, self.cols)
-                ):
+                        if pivot_col is None:
+                            pivot_col = [(r, r[t]) for x in by_col for r in x if r[t]]
+                        for r, b in pivot_col:
+                            r[j] -= q * b
+                        if vinv is not None:
+                            # column j of v loses q * column t: row t of v^-1 gains q * row j
+                            vt = vinv[t]
+                            for k, b in _nonzero(vinv[j]):
+                                vt[k] += q * b
+                    if st[j]:
+                        done = False
+                if done:
                     break
                 self._move_min_pivot(t)
             t += 1
@@ -432,8 +456,14 @@ def _smith(m: IntMatrix, **transforms) -> _Worker:
         if offender is None:
             t += 1
             continue
-        # fold the offending diagonal entry back into the block at t and redo
-        w.addmul_col(t, offender, 1)
+        # fold the offending diagonal entry back into the block at t and redo:
+        # column t gains column offender, so row offender of v^-1 loses row t
+        for x in (w.s, w.v):
+            if x is not None:
+                for r in x:
+                    r[t] += r[offender]
+        if w.vinv is not None:
+            w.vinv[offender] = [a - b for a, b in zip(w.vinv[offender], w.vinv[t])]
         w.sweep(t)
     return w
 
@@ -491,8 +521,8 @@ def _hermite(m: IntMatrix, track_u: bool, reduce: bool = True) -> tuple:
                 break
             a[r], a[pi] = a[pi], a[r]
             done = True
-            tail = a[r][j:]
-            piv = tail[0]
+            piv = a[r][j]
+            pivot = None  # row r's nonzero entries, once some q != 0
             for i in range(r + 1, rows):
                 ai = a[i]
                 x = ai[j]
@@ -500,7 +530,10 @@ def _hermite(m: IntMatrix, track_u: bool, reduce: bool = True) -> tuple:
                     q = x // piv
                     if q:
                         # rows r and below are zero left of column j
-                        ai[j:] = [y - q * z for y, z in zip(ai[j:], tail)]
+                        if pivot is None:
+                            pivot = _nonzero(a[r], j)
+                        for k, z in pivot:
+                            ai[k] -= q * z
                     if ai[j]:
                         done = False
             if done:
@@ -509,13 +542,14 @@ def _hermite(m: IntMatrix, track_u: bool, reduce: bool = True) -> tuple:
             if reduce:
                 if a[r][j] < 0:
                     a[r][j:] = [-x for x in a[r][j:]]
-                tail = a[r][j:]
-                piv = tail[0]
+                pivot = _nonzero(a[r], j)
+                piv = pivot[0][1]
                 for i in range(r):
                     ai = a[i]
                     q = ai[j] // piv  # floor puts the entry into [0, piv)
                     if q:
-                        ai[j:] = [y - q * z for y, z in zip(ai[j:], tail)]
+                        for k, z in pivot:
+                            ai[k] -= q * z
             pivots.append(j)
             r += 1
     h = IntMatrix([row[:cols] for row in a], cols=cols)

@@ -632,7 +632,6 @@ def classify(
     Colliot-Thelene-Sansuc), Ext^1(E, M) = 0 and M + E = Q, so a witness for
     M would prove no more than one for E.
     """
-    table = table or default_class_table()
     g = m.group
     if g.is_dihedral and (g.n % 2 == 0 or not is_prime(g.n)):
         raise LatticeError("dihedral classification needs D_p, p an odd prime")
@@ -668,6 +667,7 @@ def classify(
             reason = "explicit stably-permutation witness for the flabby part"
             evidence = {"resolution_summands": list(route.summands)}
         return _sequence_verdict(*route.sequence, route.padding, route.target, reason, **evidence)
+    table = table or default_class_table()  # built only here: the theorems alone read it
     if g.is_dihedral:
         verdict = _dihedral_theorem(g.n, route.summands, table)
     else:

@@ -24,6 +24,7 @@ from glattice.lattices import (
 from glattice.catalog import LEE_NAMES, build
 from glattice.cohomology import cohomology_table, is_flabby
 from glattice import cohomology, rationality
+from glattice.steinitz import default_class_table
 from glattice.rationality import (
     BLOCK_CACHE_SIZE,
     CLASSIFY_RANK_CAP,
@@ -225,6 +226,22 @@ def test_nothing_above_the_cap_is_searched(monkeypatch):
     v = classify(m, budget=FAST)
     assert v.by_theorem and v.status == "StablyRational" and v.evidence["h_plus"] == 1
     assert "block_ranks" not in v.evidence
+
+
+def test_the_default_class_table_is_built_only_for_a_theorem(monkeypatch):
+    """classify builds no class table for an explicit verdict; the theorem
+    verdict of ext:R<Y1@5 builds one."""
+    built = []
+
+    def counted():
+        built.append(1)
+        return default_class_table()
+
+    monkeypatch.setattr(rationality, "default_class_table", counted)
+    assert not classify(build("P", 3), budget=FAST).by_theorem
+    assert not built
+    assert classify(pool_lattice("ext:R<Y1@5"), budget=FAST).by_theorem
+    assert built == [1]
 
 
 def test_literal_blocks_decide_y0_plus_y1_at_7_without_search(monkeypatch):
